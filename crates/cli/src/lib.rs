@@ -3,7 +3,7 @@
 //! The 17 figure binaries, the sweep coordinator, the fleet monitor,
 //! and the serving daemon all accept the same core flags (`--quick`,
 //! `--threads`, `--telemetry`, `--telemetry-summary`, `--shard`,
-//! `--checkpoint`, `--assignment`, `--steal`), so parsing lives here
+//! `--checkpoint`, `--steal`), so parsing lives here
 //! exactly once as [`CommonArgs`]. Binaries with extra flags layer
 //! them over the shared core through [`CommonArgs::parse_with`]'s
 //! extension hook instead of re-rolling the whole loop.
@@ -17,22 +17,28 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// One shard of an `n`-way partition as typed on a command line:
-/// `--shard i/n`. This is the *grammar* half of sharding; lattice
-/// ownership semantics (round-robin vs. planner-assigned sets) live
-/// with the sweep layer, which converts from this type.
+/// One shard of an `n`-way sweep partition: `--shard i/n`.
+///
+/// Shard `i` owns every lattice point whose stable index `p`
+/// satisfies `p % n == i`. Round-robin (rather than contiguous
+/// blocks) spreads the expensive deep-loss corner of a surface across
+/// all shards, so wall-clock balances without any cost model on a
+/// homogeneous fleet; heterogeneous fleets use `--steal` instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardArg {
+pub struct ShardSpec {
     /// Zero-based shard index, `< count`.
     pub index: u32,
     /// Total number of shards, `>= 1`.
     pub count: u32,
 }
 
-impl ShardArg {
+impl ShardSpec {
+    /// The trivial partition: one shard owning every point.
+    pub const FULL: ShardSpec = ShardSpec { index: 0, count: 1 };
+
     /// A validated shard; `None` when `count == 0` or `index >= count`.
-    pub fn new(index: u32, count: u32) -> Option<ShardArg> {
-        (count > 0 && index < count).then_some(ShardArg { index, count })
+    pub fn new(index: u32, count: u32) -> Option<ShardSpec> {
+        (count > 0 && index < count).then_some(ShardSpec { index, count })
     }
 
     /// Parses the CLI form `"i/n"` (e.g. `"0/2"`).
@@ -42,14 +48,24 @@ impl ShardArg {
     /// would otherwise inherit leading zeros and stray whitespace), but
     /// a shard spec that renders differently from what was typed is a
     /// recipe for mismatched checkpoint names across hosts.
-    pub fn parse(s: &str) -> Option<ShardArg> {
+    pub fn parse(s: &str) -> Option<ShardSpec> {
         let (i, n) = s.split_once('/')?;
-        let arg = ShardArg::new(i.parse().ok()?, n.parse().ok()?)?;
-        (arg.to_string() == s).then_some(arg)
+        let shard = ShardSpec::new(i.parse().ok()?, n.parse().ok()?)?;
+        (shard.to_string() == s).then_some(shard)
+    }
+
+    /// Whether this shard owns lattice point `point_index`.
+    pub fn owns(&self, point_index: usize) -> bool {
+        point_index % self.count as usize == self.index as usize
+    }
+
+    /// Whether this is the trivial single-shard partition.
+    pub fn is_full(&self) -> bool {
+        self.count == 1
     }
 }
 
-impl fmt::Display for ShardArg {
+impl fmt::Display for ShardSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.index, self.count)
     }
@@ -75,18 +91,14 @@ pub struct CommonArgs {
     pub threads: Option<usize>,
     /// Solve only this slice of the sweep lattice (`--shard i/n`).
     /// `None` means the full lattice.
-    pub shard: Option<ShardArg>,
+    pub shard: Option<ShardSpec>,
     /// Stream completed sweep points to this JSONL file and resume
     /// from it when it already exists (`--checkpoint <path>`).
     pub checkpoint: Option<PathBuf>,
-    /// Take this shard's point set from a planner-produced assignment
-    /// file (`--assignment <path>`, written by `sweep_plan`) instead
-    /// of the round-robin rule. Requires `--shard i/n` to pick the row.
-    pub assignment: Option<PathBuf>,
     /// Run as a work-stealing worker against the `sweep_coord`
     /// coordinator at this endpoint (`--steal host:port` or
     /// `--steal unix:<path>`). Requires `--checkpoint`; mutually
-    /// exclusive with `--shard`/`--assignment` (the coordinator, not a
+    /// exclusive with `--shard` (the coordinator, not a
     /// static split, decides which points this process solves).
     pub steal: Option<String>,
     /// Identity stamped on JSONL telemetry records instead of the pid
@@ -136,10 +148,6 @@ impl CommonArgs {
                     let path = args.next().ok_or(CliError::MissingValue("--checkpoint"))?;
                     config.checkpoint = Some(PathBuf::from(path));
                 }
-                "--assignment" => {
-                    let path = args.next().ok_or(CliError::MissingValue("--assignment"))?;
-                    config.assignment = Some(PathBuf::from(path));
-                }
                 "--steal" => {
                     let endpoint = args.next().ok_or(CliError::MissingValue("--steal"))?;
                     config.steal = Some(parse_endpoint(&endpoint)?);
@@ -178,13 +186,6 @@ impl CommonArgs {
                         return Err(CliError::MissingValue("--checkpoint"));
                     }
                     config.checkpoint = Some(PathBuf::from(path));
-                }
-                other if other.starts_with("--assignment=") => {
-                    let path = &other["--assignment=".len()..];
-                    if path.is_empty() {
-                        return Err(CliError::MissingValue("--assignment"));
-                    }
-                    config.assignment = Some(PathBuf::from(path));
                 }
                 other if other.starts_with("--steal=") => {
                     let endpoint = &other["--steal=".len()..];
@@ -341,8 +342,8 @@ fn parse_threads(value: &str) -> Result<usize, CliError> {
     }
 }
 
-fn parse_shard(value: &str) -> Result<ShardArg, CliError> {
-    ShardArg::parse(value).ok_or_else(|| CliError::InvalidShard(value.to_string()))
+fn parse_shard(value: &str) -> Result<ShardSpec, CliError> {
+    ShardSpec::parse(value).ok_or_else(|| CliError::InvalidShard(value.to_string()))
 }
 
 /// Validates an endpoint string (`host:port` or `unix:<path>`),
@@ -367,19 +368,36 @@ mod tests {
     }
 
     #[test]
-    fn shard_arg_parse_and_display() {
-        let s = ShardArg::parse("1/3").unwrap();
+    fn shard_spec_parse_and_display() {
+        let s = ShardSpec::parse("1/3").unwrap();
         assert_eq!((s.index, s.count), (1, 3));
         assert_eq!(s.to_string(), "1/3");
-        assert_eq!(ShardArg::parse("10/12").unwrap().to_string(), "10/12");
+        assert_eq!(ShardSpec::parse("0/1"), Some(ShardSpec::FULL));
+        assert_eq!(ShardSpec::parse("10/12").unwrap().to_string(), "10/12");
         for bad in [
             "", "1", "3/3", "4/3", "1/0", "-1/3", "a/b", "1/3/5",
             // Signed and otherwise non-round-tripping forms that
             // u32::from_str alone would tolerate.
             "+1/3", "1/+3", "+0/1", "01/3", "1/03", "00/1", " 1/3", "1/3 ", "1 /3", "1/ 3",
         ] {
-            assert_eq!(ShardArg::parse(bad), None, "{bad:?}");
+            assert_eq!(ShardSpec::parse(bad), None, "{bad:?}");
         }
+    }
+
+    #[test]
+    fn round_robin_ownership() {
+        let shards: Vec<ShardSpec> = (0..3).map(|i| ShardSpec::new(i, 3).unwrap()).collect();
+        for p in 0..20usize {
+            let owners: Vec<u32> = shards
+                .iter()
+                .filter(|s| s.owns(p))
+                .map(|s| s.index)
+                .collect();
+            assert_eq!(owners, vec![(p % 3) as u32]);
+        }
+        assert!(ShardSpec::FULL.owns(0) && ShardSpec::FULL.owns(17));
+        assert!(ShardSpec::FULL.is_full());
+        assert!(!shards[1].is_full());
     }
 
     #[test]
@@ -481,9 +499,9 @@ mod tests {
     #[test]
     fn shard_flag_both_spellings() {
         let config = parse(strings(&["--shard", "1/4"])).unwrap();
-        assert_eq!(config.shard, ShardArg::new(1, 4));
+        assert_eq!(config.shard, ShardSpec::new(1, 4));
         let config = parse(strings(&["--shard=0/2", "--checkpoint=ck.jsonl"])).unwrap();
-        assert_eq!(config.shard, ShardArg::new(0, 2));
+        assert_eq!(config.shard, ShardSpec::new(0, 2));
         assert_eq!(config.checkpoint, Some(PathBuf::from("ck.jsonl")));
         let config = parse(strings(&["--checkpoint", "shard.jsonl"])).unwrap();
         assert_eq!(config.checkpoint, Some(PathBuf::from("shard.jsonl")));
@@ -542,19 +560,13 @@ mod tests {
     }
 
     #[test]
-    fn assignment_flag_both_spellings() {
-        let config = parse(strings(&["--assignment", "plan.json"])).unwrap();
-        assert_eq!(config.assignment, Some(PathBuf::from("plan.json")));
-        let config = parse(strings(&["--assignment=p.json", "--shard=0/2"])).unwrap();
-        assert_eq!(config.assignment, Some(PathBuf::from("p.json")));
-        assert_eq!(
-            parse(strings(&["--assignment"])),
-            Err(CliError::MissingValue("--assignment"))
-        );
-        assert_eq!(
-            parse(strings(&["--assignment="])),
-            Err(CliError::MissingValue("--assignment"))
-        );
+    fn removed_assignment_flag_is_unknown() {
+        for args in [&["--assignment", "plan.json"][..], &["--assignment=p.json"]] {
+            assert_eq!(
+                parse(strings(args)),
+                Err(CliError::UnknownArgument(args[0].to_string()))
+            );
+        }
     }
 
     #[test]

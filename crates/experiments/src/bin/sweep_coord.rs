@@ -4,15 +4,13 @@
 //! sweep_coord --figure fig04_mtv_model [--quick] \
 //!     [--listen 127.0.0.1:7077 | --listen unix:/tmp/coord.sock] \
 //!     [--lease-log coord.jsonl] [--batch-points <n>] \
-//!     [--cost-from <checkpoint.jsonl>]... \
 //!     [--heartbeat-ms <n>] [--lease-ttl-ms <n>] \
 //!     [--telemetry <path>] [--telemetry-summary[=<path>]]
 //! ```
 //!
 //! Rebuilds the named figure's sweep plan from the registry, slices it
-//! into point batches (cost-weighted when `--cost-from` checkpoints
-//! supply measured durations), and serves them to `--steal` workers
-//! under the lease/heartbeat protocol (DESIGN.md §12). The resolved
+//! into uniform contiguous point batches, and serves them to `--steal`
+//! workers under the lease/heartbeat protocol (DESIGN.md §12). The resolved
 //! endpoint is printed to stdout as `listening <endpoint>` so
 //! orchestrators can pass `--listen 127.0.0.1:0` and read the port.
 //!
@@ -33,7 +31,6 @@ use lrd_cli::{require_value, CommonArgs};
 use lrd_experiments::figures::Profile;
 use lrd_experiments::run::FigureKind;
 use lrd_experiments::sweep::coord::{CoordOptions, CoordServer, Endpoint, LeaseConfig};
-use lrd_experiments::sweep::CostProfile;
 use lrd_experiments::Corpus;
 
 struct Args {
@@ -41,7 +38,6 @@ struct Args {
     listen: Endpoint,
     lease_log: Option<PathBuf>,
     batch_points: Option<usize>,
-    cost_from: Vec<PathBuf>,
     config: LeaseConfig,
     common: CommonArgs,
 }
@@ -51,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
     let mut listen = Endpoint::Tcp("127.0.0.1:0".to_string());
     let mut lease_log = None;
     let mut batch_points = None;
-    let mut cost_from = Vec::new();
     let mut config = LeaseConfig::default();
 
     let positive = |flag: &str, v: &str| -> Result<u64, String> {
@@ -66,9 +61,8 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: sweep_coord --figure <name> [--quick] [--listen <endpoint>]\n\
                      \u{20}        [--lease-log <path>] [--batch-points <n>]\n\
-                     \u{20}        [--cost-from <checkpoint.jsonl>]... [--heartbeat-ms <n>]\n\
-                     \u{20}        [--lease-ttl-ms <n>] [--telemetry <path>]\n\
-                     \u{20}        [--telemetry-summary[=<path>]]\n\
+                     \u{20}        [--heartbeat-ms <n>] [--lease-ttl-ms <n>]\n\
+                     \u{20}        [--telemetry <path>] [--telemetry-summary[=<path>]]\n\
                      \n\
                      Serves the figure's sweep lattice to --steal workers as leased\n\
                      point batches. Prints `listening <endpoint>` on stdout, then\n\
@@ -90,9 +84,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = require_value("--batch-points", args)?;
                 batch_points = Some(positive("--batch-points", &v).map_err(invalid)? as usize);
             }
-            "--cost-from" => {
-                cost_from.push(PathBuf::from(require_value("--cost-from", args)?));
-            }
             "--heartbeat-ms" => {
                 let v = require_value("--heartbeat-ms", args)?;
                 config.heartbeat_ms = positive("--heartbeat-ms", &v).map_err(invalid)?;
@@ -112,7 +103,6 @@ fn parse_args() -> Result<Args, String> {
     for (set, flag) in [
         (common.shard.is_some(), "--shard"),
         (common.checkpoint.is_some(), "--checkpoint"),
-        (common.assignment.is_some(), "--assignment"),
         (common.steal.is_some(), "--steal"),
     ] {
         if set {
@@ -125,7 +115,6 @@ fn parse_args() -> Result<Args, String> {
         listen,
         lease_log,
         batch_points,
-        cost_from,
         config,
         common,
     })
@@ -152,13 +141,6 @@ fn run() -> Result<(), String> {
     let corpus = if quick { Corpus::quick() } else { Corpus::full() };
     let plan = build(&corpus, profile).plan;
 
-    let costs = if args.cost_from.is_empty() {
-        None
-    } else {
-        let profile = CostProfile::from_checkpoints(&args.cost_from).map_err(|e| e.to_string())?;
-        Some(profile.costs(&plan).map_err(|e| e.to_string())?)
-    };
-
     let options = CoordOptions {
         endpoint: args.listen,
         lease_log: args.lease_log,
@@ -166,7 +148,6 @@ fn run() -> Result<(), String> {
         batch_points: args
             .batch_points
             .unwrap_or(lrd_experiments::sweep::coord::DEFAULT_BATCH_POINTS),
-        costs,
     };
     let server = CoordServer::start(&plan, options).map_err(|e| e.to_string())?;
 

@@ -8,8 +8,8 @@
 //! Polls the coordinator's read-only `status` query and renders a
 //! refreshing per-worker table: points solved, throughput, last
 //! contact, the outstanding lease and its predicted remaining cost
-//! (from the live `solve_us` stream the workers report — no
-//! `--cost-from` profile needed), plus a fleet ETA and a straggler
+//! (from the live `solve_us` stream the workers report), plus a
+//! fleet ETA and a straggler
 //! flag for any worker whose throughput falls below the fleet median
 //! divided by `--straggler-k`.
 //!

@@ -3,7 +3,7 @@
 //!
 //! Every figure binary accepts exactly the shared flag set (`--quick`,
 //! `--telemetry`, `--telemetry-summary`, `--threads`, `--shard`,
-//! `--checkpoint`, `--assignment`, `--steal` and `--help`), so the
+//! `--checkpoint`, `--steal` and `--help`), so the
 //! only figure-specific pieces left here are the `--help` text and the
 //! steal-mode worker-identity stamping. Invalid invocations produce a
 //! typed [`CliError`] — the binaries print it to stderr and exit with
@@ -11,7 +11,7 @@
 //! degradation contract in DESIGN.md: bad configuration is an error,
 //! not a guess).
 
-pub use lrd_cli::{CliError, CommonArgs, ShardArg};
+pub use lrd_cli::{CliError, CommonArgs, ShardSpec};
 
 /// How a figure binary should run — the workspace-shared flag set.
 pub type RunConfig = lrd_cli::CommonArgs;
@@ -28,7 +28,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<RunConfig, CliEr
 }
 
 const FIGURE_USAGE: &str = "usage: <figure binary> [--quick] [--threads <n>] \
-     [--shard <i/n> --checkpoint <path> [--assignment <path>]] \
+     [--shard <i/n> --checkpoint <path>] \
      [--steal <endpoint> --checkpoint <path>] \
      [--telemetry <path.jsonl>] [--telemetry-summary[=<path>]]\n\
      \n\
@@ -42,9 +42,6 @@ const FIGURE_USAGE: &str = "usage: <figure binary> [--quick] [--threads <n>] \
      --checkpoint <path>  stream completed points to <path> (JSONL)\n\
      \u{20}                    and resume from it if it exists; merge\n\
      \u{20}                    shards with the sweep_merge binary\n\
-     --assignment <path>  take shard i's point set from this\n\
-     \u{20}                    sweep_plan-produced assignment file\n\
-     \u{20}                    instead of the round-robin rule\n\
      --steal <endpoint>   run as a work-stealing worker against the\n\
      \u{20}                    sweep_coord coordinator at host:port or\n\
      \u{20}                    unix:<path> (sweep figures only; requires\n\
@@ -108,7 +105,7 @@ mod tests {
         .unwrap();
         assert!(config.quick);
         assert_eq!(config.threads, Some(2));
-        assert_eq!(config.shard, ShardArg::new(0, 2));
+        assert_eq!(config.shard, ShardSpec::new(0, 2));
         assert_eq!(
             config.checkpoint,
             Some(std::path::PathBuf::from("ck.jsonl"))

@@ -23,8 +23,7 @@ use crate::figures::{self, Profile};
 use crate::output::{self, Grid};
 use crate::sweep::coord::{self, CoordError, StealOptions};
 use crate::sweep::{
-    merge_checkpoints, run_points, CheckpointOrigin, FigureSweep, ShardSpec, SweepAssignment,
-    SweepError,
+    merge_checkpoints, run_points, CheckpointOrigin, FigureSweep, ShardSpec, SweepError,
 };
 
 /// Everything a figure run wants to show the user. The emit order and
@@ -621,25 +620,7 @@ pub enum RunError {
     /// only output is its checkpoint file, so running one without a
     /// path would discard the work.
     ShardWithoutCheckpoint,
-    /// `--assignment` without `--shard i/n`: the shard index picks
-    /// which row of the assignment this process solves.
-    AssignmentWithoutShard,
-    /// `--shard i/n` whose `n` disagrees with the number of shards the
-    /// assignment file was planned for.
-    AssignmentShardCount {
-        /// Shards in the assignment file.
-        expected: u32,
-        /// The `n` of the requested `--shard i/n`.
-        found: u32,
-    },
-    /// The assignment file was planned for a different figure.
-    AssignmentFigure {
-        /// The figure being run.
-        expected: String,
-        /// The figure named in the assignment file.
-        found: String,
-    },
-    /// `--steal` combined with `--shard` or `--assignment`: the
+    /// `--steal` combined with `--shard`: the
     /// coordinator decides which points a stealing worker solves, so a
     /// static split contradicts it.
     StealWithShard,
@@ -666,22 +647,9 @@ impl std::fmt::Display for RunError {
             RunError::ShardWithoutCheckpoint => {
                 write!(f, "--shard requires --checkpoint <path> (the shard's output)")
             }
-            RunError::AssignmentWithoutShard => write!(
-                f,
-                "--assignment requires --shard i/n to pick this process's row"
-            ),
-            RunError::AssignmentShardCount { expected, found } => write!(
-                f,
-                "assignment was planned for {expected} shard(s), but --shard asked for {found}"
-            ),
-            RunError::AssignmentFigure { expected, found } => write!(
-                f,
-                "assignment was planned for figure `{found}`, not `{expected}`"
-            ),
             RunError::StealWithShard => write!(
                 f,
-                "--steal is mutually exclusive with --shard/--assignment \
-                 (the coordinator assigns the points)"
+                "--steal is mutually exclusive with --shard (the coordinator assigns the points)"
             ),
             RunError::StealWithoutCheckpoint => write!(
                 f,
@@ -728,48 +696,13 @@ fn emit(spec: &FigureSpec, artifacts: &FigureArtifacts) {
     }
 }
 
-/// Resolves the shard this process should run: the round-robin
-/// `--shard i/n` by default, or — with `--assignment` — the explicit
-/// owned-set row the planner assigned to shard `i`, validated against
-/// the figure and the registry-rebuilt plan.
-fn resolve_shard(
-    spec: &FigureSpec,
-    config: &RunConfig,
-    sweep: &FigureSweep<'_>,
-) -> Result<ShardSpec, RunError> {
-    let Some(path) = config.assignment.as_deref() else {
-        return Ok(config.shard.map(ShardSpec::from).unwrap_or(ShardSpec::FULL));
-    };
-    let Some(requested) = config.shard else {
-        return Err(RunError::AssignmentWithoutShard);
-    };
-    let assignment = SweepAssignment::read(path)?;
-    if assignment.figure != spec.name {
-        return Err(RunError::AssignmentFigure {
-            expected: spec.name.to_string(),
-            found: assignment.figure,
-        });
-    }
-    assignment.validate_against(&sweep.plan, path)?;
-    if assignment.shards.len() as u32 != requested.count {
-        return Err(RunError::AssignmentShardCount {
-            expected: assignment.shards.len() as u32,
-            found: requested.count,
-        });
-    }
-    Ok(assignment
-        .shard_spec(requested.index)
-        .expect("index < count == shards.len() after validation"))
-}
-
 /// Runs one registered figure under a parsed configuration: the whole
 /// historical binary body behind one call.
 ///
-/// * Plain figures reject `--shard`/`--checkpoint`/`--assignment` with
-///   a typed error.
-/// * Sweep figures with `--shard i/n` (n > 1) solve only their slice —
-///   round-robin, or the planner-assigned point set when
-///   `--assignment` names a `sweep_plan` output — stream it to the
+/// * Plain figures reject `--shard`/`--checkpoint`/`--steal` with a
+///   typed error.
+/// * Sweep figures with `--shard i/n` (n > 1) solve only their
+///   round-robin slice, stream it to the
 ///   required `--checkpoint`, print a shard summary to stderr and emit
 ///   **no** artifacts; the full figure appears when `sweep_merge`
 ///   assembles all shards.
@@ -787,11 +720,7 @@ pub fn run_figure(spec: &FigureSpec, config: &RunConfig) -> Result<(), RunError>
 
     match &spec.kind {
         FigureKind::Plain(runner) => {
-            if config.shard.is_some()
-                || config.checkpoint.is_some()
-                || config.assignment.is_some()
-                || config.steal.is_some()
-            {
+            if config.shard.is_some() || config.checkpoint.is_some() || config.steal.is_some() {
                 return Err(RunError::ShardUnsupported(spec.name));
             }
             emit(spec, &runner(&corpus, profile));
@@ -800,7 +729,7 @@ pub fn run_figure(spec: &FigureSpec, config: &RunConfig) -> Result<(), RunError>
         FigureKind::Sweep { build, finish } => {
             let sweep = build(&corpus, profile);
             if let Some(endpoint) = config.steal.as_deref() {
-                if config.shard.is_some() || config.assignment.is_some() {
+                if config.shard.is_some() {
                     return Err(RunError::StealWithShard);
                 }
                 let Some(path) = config.checkpoint.as_deref() else {
@@ -831,7 +760,7 @@ pub fn run_figure(spec: &FigureSpec, config: &RunConfig) -> Result<(), RunError>
                 );
                 return Ok(());
             }
-            let shard = resolve_shard(spec, config, &sweep)?;
+            let shard = config.shard.unwrap_or(ShardSpec::FULL);
             if !shard.is_full() {
                 let Some(path) = config.checkpoint.as_deref() else {
                     return Err(RunError::ShardWithoutCheckpoint);
@@ -982,7 +911,7 @@ mod tests {
         let spec = find_figure("fig03_marginals").unwrap();
         let config = RunConfig {
             quick: true,
-            shard: lrd_cli::ShardArg::new(0, 2),
+            shard: ShardSpec::new(0, 2),
             checkpoint: Some(PathBuf::from("unused.jsonl")),
             ..RunConfig::default()
         };
@@ -997,96 +926,12 @@ mod tests {
         let spec = find_figure("fig04_mtv_model").unwrap();
         let config = RunConfig {
             quick: true,
-            shard: lrd_cli::ShardArg::new(0, 2),
+            shard: ShardSpec::new(0, 2),
             ..RunConfig::default()
         };
         assert_eq!(
             run_figure(spec, &config),
             Err(RunError::ShardWithoutCheckpoint)
         );
-    }
-
-    #[test]
-    fn assignment_requires_shard_and_matching_plan() {
-        use crate::sweep::ShardPlan;
-
-        let spec = find_figure("fig04_mtv_model").unwrap();
-        let dir = std::env::temp_dir().join(format!("lrd-run-assign-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("assignment.json");
-        let checkpoint = dir.join("ck.jsonl");
-
-        // --assignment without --shard.
-        let config = RunConfig {
-            quick: true,
-            assignment: Some(path.clone()),
-            ..RunConfig::default()
-        };
-        assert_eq!(
-            run_figure(spec, &config),
-            Err(RunError::AssignmentWithoutShard)
-        );
-
-        // A structurally valid 2-way assignment for the quick plan.
-        let corpus = Corpus::quick();
-        let FigureKind::Sweep { build, .. } = &spec.kind else {
-            unreachable!()
-        };
-        let sweep = build(&corpus, Profile::Quick);
-        let n = sweep.plan.len();
-        let assignment = crate::sweep::SweepAssignment {
-            figure: spec.name.to_string(),
-            plan_hash: sweep.plan.hash_hex(),
-            profile: "quick".to_string(),
-            total_points: n,
-            shards: vec![
-                ShardPlan {
-                    points: (0..n / 2).collect(),
-                    predicted_us: 1.0,
-                },
-                ShardPlan {
-                    points: (n / 2..n).collect(),
-                    predicted_us: 1.0,
-                },
-            ],
-        };
-        assignment.write(&path).unwrap();
-
-        let with_shard = |i, count, assignment_path: &PathBuf| RunConfig {
-            quick: true,
-            shard: lrd_cli::ShardArg::new(i, count),
-            checkpoint: Some(checkpoint.clone()),
-            assignment: Some(assignment_path.clone()),
-            ..RunConfig::default()
-        };
-
-        // --shard n disagrees with the planned shard count.
-        assert_eq!(
-            run_figure(spec, &with_shard(0, 3, &path)),
-            Err(RunError::AssignmentShardCount {
-                expected: 2,
-                found: 3
-            })
-        );
-
-        // An assignment planned for a different figure.
-        let mut foreign = assignment.clone();
-        foreign.figure = "fig05_bc_model".to_string();
-        let foreign_path = dir.join("foreign.json");
-        foreign.write(&foreign_path).unwrap();
-        assert!(matches!(
-            run_figure(spec, &with_shard(0, 2, &foreign_path)),
-            Err(RunError::AssignmentFigure { .. })
-        ));
-
-        // A stale plan hash (e.g. planned under the full profile).
-        let mut stale = assignment;
-        stale.plan_hash = "0000000000000000".to_string();
-        let stale_path = dir.join("stale.json");
-        stale.write(&stale_path).unwrap();
-        assert!(matches!(
-            run_figure(spec, &with_shard(0, 2, &stale_path)),
-            Err(RunError::Sweep(SweepError::PlanHashMismatch { .. }))
-        ));
     }
 }

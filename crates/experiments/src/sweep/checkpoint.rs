@@ -15,10 +15,9 @@
 //! The manifest records the plan identity ([`SweepPlan::hash_hex`]) so
 //! resume and merge can refuse files from a different plan; the axes
 //! are also embedded verbatim so a checkpoint is self-describing, but
-//! the hash is what validation trusts. An explicit-assignment shard
-//! ([`ShardSpec::owned`]) additionally records its owned point set as
-//! `"owned":[…]` so resume and merge validate ownership against the
-//! planned assignment rather than the round-robin rule. A
+//! the hash is what validation trusts. Manifests written by the retired
+//! cost-weighted planner carry an explicit `"owned":[…]` point set;
+//! they are refused as malformed rather than read as round-robin. A
 //! work-stealing worker ([`CheckpointOrigin::Steal`]) records
 //! `"mode":"steal","worker":"…"` instead of a shard: its point set is
 //! whatever batches the coordinator leased to it, so ownership is the
@@ -31,11 +30,11 @@
 //!
 //! Point lines carry the measured wall-clock solve duration
 //! (`solve_us`, read from the point's `solver.solve` telemetry span)
-//! when the producing runner captured one. The field feeds the
-//! cost-weighted re-split planner and **nothing else**: it never
-//! enters the plan hash, ownership validation, or the merged surface
-//! values, and checkpoints written before the field existed parse
-//! exactly as they used to ([`PointResult::solve_us`] stays `None`).
+//! when the producing runner captured one. The field is informational
+//! only: it never enters the plan hash, ownership validation, or the
+//! merged surface values, and checkpoints written before the field
+//! existed parse exactly as they used to ([`PointResult::solve_us`]
+//! stays `None`).
 //!
 //! A process killed mid-write leaves at most one torn *final* line;
 //! [`read_checkpoint`] tolerates exactly that (reporting it via
@@ -63,8 +62,8 @@ use crate::sweep::{Axis, PointResult, ShardSpec, SweepError, SweepPlan};
 /// work-stealing worker leasing batches from a coordinator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointOrigin {
-    /// A `--shard i/n` run: the file owns a fixed slice of the lattice
-    /// (round-robin or an explicit planner assignment).
+    /// A `--shard i/n` run: the file owns a fixed round-robin slice of
+    /// the lattice.
     Shard(ShardSpec),
     /// A `--steal <endpoint>` run: the file holds whatever point
     /// batches the named worker leased; any lattice point may appear.
@@ -139,7 +138,7 @@ pub struct Manifest {
 impl Manifest {
     /// The manifest for `shard` of `plan`.
     pub fn new(plan: &SweepPlan, shard: &ShardSpec) -> Manifest {
-        Manifest::for_origin(plan, &CheckpointOrigin::Shard(shard.clone()))
+        Manifest::for_origin(plan, &CheckpointOrigin::Shard(*shard))
     }
 
     /// The manifest for any origin of `plan`.
@@ -192,7 +191,7 @@ pub struct Checkpoint {
 /// Renders the manifest line for `shard` of `plan` (no trailing
 /// newline).
 pub fn manifest_line(plan: &SweepPlan, shard: &ShardSpec) -> String {
-    manifest_line_for(plan, &CheckpointOrigin::Shard(shard.clone()))
+    manifest_line_for(plan, &CheckpointOrigin::Shard(*shard))
 }
 
 /// Renders the manifest line for any origin of `plan` (no trailing
@@ -212,16 +211,6 @@ pub fn manifest_line_for(plan: &SweepPlan, origin: &CheckpointOrigin) -> String 
                 ",\"shard\":{},\"shard_count\":{}",
                 shard.index, shard.count
             ));
-            if let Some(points) = shard.owned_points() {
-                out.push_str(",\"owned\":[");
-                for (i, &p) in points.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&p.to_string());
-                }
-                out.push(']');
-            }
         }
         CheckpointOrigin::Steal { worker } => {
             out.push_str(",\"mode\":\"steal\",\"worker\":");
@@ -337,29 +326,18 @@ fn parse_manifest(path: &Path, doc: &Json) -> Result<Manifest, SweepError> {
         None => {
             let index = int_field("shard")?;
             let count = int_field("shard_count")?;
-            let owned: Option<Vec<usize>> = match doc.get("owned") {
-                None => None,
-                Some(field) => Some(
-                    field
-                        .as_array()
-                        .and_then(|items| {
-                            items
-                                .iter()
-                                .map(|v| v.as_u64().map(|p| p as usize))
-                                .collect()
-                        })
-                        .ok_or_else(|| {
-                            malformed(path, 1, "manifest \"owned\" must be an array of integers")
-                        })?,
-                ),
-            };
+            if doc.get("owned").is_some() {
+                return Err(malformed(
+                    path,
+                    1,
+                    "manifest key \"owned\" (an explicit planner assignment) is no longer \
+                     supported; re-run the shard with --shard i/n or --steal",
+                ));
+            }
             let shard = u32::try_from(index)
                 .ok()
                 .zip(u32::try_from(count).ok())
-                .and_then(|(i, n)| match owned {
-                    Some(points) => ShardSpec::owned(i, n, points),
-                    None => ShardSpec::new(i, n),
-                })
+                .and_then(|(i, n)| ShardSpec::new(i, n))
                 .ok_or_else(|| malformed(path, 1, format!("invalid shard {index}/{count}")))?;
             CheckpointOrigin::Shard(shard)
         }
@@ -772,26 +750,25 @@ mod tests {
     }
 
     #[test]
-    fn owned_set_manifest_round_trips() {
-        let p = plan();
-        let shard = ShardSpec::owned(1, 3, vec![0, 2, 3]).unwrap();
+    fn owned_set_manifest_is_refused() {
+        // A manifest line exactly as the retired cost-weighted planner
+        // wrote it. Reading it as round-robin 1/3 would silently
+        // validate the wrong ownership, so it must be a typed error.
         let path = tmp("owned");
-        let text = format!("{}\n", manifest_line(&p, &shard));
-        assert!(text.contains("\"owned\":[0,2,3]"), "{text}");
-        std::fs::write(&path, text).unwrap();
-        let ck = read_checkpoint(&path).unwrap();
-        assert_eq!(ck.manifest.shard(), Some(&shard));
-        assert_eq!(
-            ck.manifest.shard().unwrap().owned_points(),
-            Some(&[0, 2, 3][..])
-        );
-
-        // A manifest with a malformed owned set is a hard error, not a
-        // silent fallback to round-robin ownership.
-        let bad = manifest_line(&p, &shard).replace("[0,2,3]", "[0,\"x\",3]");
-        std::fs::write(&path, format!("{bad}\n")).unwrap();
+        let line = "{\"kind\":\"manifest\",\"figure\":\"demo\",\
+                    \"plan_hash\":\"0123456789abcdef\",\"profile\":\"quick\",\
+                    \"shard\":1,\"shard_count\":3,\"owned\":[0,2,3],\"points\":4,\
+                    \"value_label\":\"loss_rate\",\"axes\":[{\"name\":\"b\",\"values\":[0.1,1]}]}";
+        std::fs::write(&path, format!("{line}\n")).unwrap();
+        match read_checkpoint(&path) {
+            Err(SweepError::Malformed { line: 1, reason, .. }) => {
+                assert!(reason.contains("\"owned\""), "{reason}")
+            }
+            other => panic!("expected Malformed naming \"owned\", got {other:?}"),
+        }
+        // Merge reads through the same parser.
         assert!(matches!(
-            read_checkpoint(&path),
+            crate::sweep::merge_checkpoints(&[path]),
             Err(SweepError::Malformed { line: 1, .. })
         ));
     }

@@ -1,66 +1,35 @@
-//! Cost-aware batch construction, and the scheduling models that
-//! justify work-stealing over a static split.
+//! Batch construction, and the scheduling models that justify
+//! work-stealing over a static split.
 //!
 //! The coordinator hands out **batches** of lattice points rather than
 //! single points so one lease round-trip amortises over several
 //! solves, but keeps batches small enough that a crashed worker
-//! strands little work and a fast worker can steal often. With a
-//! [`CostProfile`](crate::sweep::CostProfile) from prior checkpoints,
-//! batches are built to roughly equal *predicted cost* rather than
-//! equal point count, so the queue drains evenly even when deep-loss
-//! points dominate.
+//! strands little work and a fast worker can steal often. Batches are
+//! uniform: stealing already balances skewed per-point costs, because
+//! a worker stuck on an expensive batch simply leases less
+//! (DESIGN.md §12).
 
 /// Default points per batch when the caller does not override it —
 /// matches [`CHECKPOINT_CHUNK`](crate::sweep::CHECKPOINT_CHUNK) so one
 /// batch is one checkpoint append.
 pub const DEFAULT_BATCH_POINTS: usize = crate::sweep::CHECKPOINT_CHUNK;
 
-/// Splits points `0..costs.len()` into contiguous-in-index batches of
-/// roughly equal total cost, targeting `ceil(n / batch_points)`
-/// batches. Every point lands in exactly one batch; no batch is empty.
-///
-/// Contiguity in stable index keeps batches cache- and
-/// checkpoint-friendly; the *balance* comes from cutting the index
-/// line where the cumulative cost crosses each batch's fair share, so
-/// a run of expensive deep-loss points yields short batches and cheap
-/// regions yield long ones.
-pub fn plan_batches(costs: &[f64], batch_points: usize) -> Vec<Vec<usize>> {
-    let n = costs.len();
-    if n == 0 {
+/// Splits points `0..points` into `ceil(points / batch_points)`
+/// contiguous-in-index batches of equal size, except possibly a
+/// shorter last one. Every point lands in exactly one batch; no batch
+/// is empty. Contiguity in stable index keeps batches cache- and
+/// checkpoint-friendly.
+pub fn plan_batches(points: usize, batch_points: usize) -> Vec<Vec<usize>> {
+    if points == 0 {
         return Vec::new();
     }
-    let batch_points = batch_points.max(1);
-    let target_batches = n.div_ceil(batch_points);
-    let total: f64 = costs.iter().map(|c| c.max(0.0)).sum();
-    let share = if total > 0.0 {
-        total / target_batches as f64
-    } else {
-        f64::INFINITY
-    };
-
-    let mut batches: Vec<Vec<usize>> = Vec::with_capacity(target_batches);
-    let mut current: Vec<usize> = Vec::new();
-    let mut current_cost = 0.0;
-    for (i, &c) in costs.iter().enumerate() {
-        current.push(i);
-        current_cost += c.max(0.0);
-        let batches_left = target_batches.saturating_sub(batches.len() + 1);
-        let points_left = n - i - 1;
-        // Close the batch when it has its fair share of cost — unless
-        // that would leave more batches to fill than points remain.
-        if batches.len() + 1 < target_batches
-            && (current_cost >= share || current.len() >= batch_points)
-            && points_left > batches_left.saturating_sub(1)
-            && points_left >= batches_left
-        {
-            batches.push(std::mem::take(&mut current));
-            current_cost = 0.0;
-        }
-    }
-    if !current.is_empty() {
-        batches.push(current);
-    }
-    batches
+    let batches = points.div_ceil(batch_points.max(1));
+    let size = points.div_ceil(batches);
+    (0..points)
+        .collect::<Vec<_>>()
+        .chunks(size)
+        .map(<[usize]>::to_vec)
+        .collect()
 }
 
 /// Simulated makespan of work-stealing execution: list scheduling,
@@ -105,8 +74,7 @@ mod tests {
     #[test]
     fn batches_partition_and_respect_target_count() {
         for n in [1usize, 2, 7, 8, 9, 56, 100] {
-            let costs = vec![1.0; n];
-            let batches = plan_batches(&costs, 8);
+            let batches = plan_batches(n, 8);
             assert_eq!(batches.len(), n.div_ceil(8), "n={n}");
             let mut seen = vec![false; n];
             for b in &batches {
@@ -118,31 +86,13 @@ mod tests {
             }
             assert!(seen.iter().all(|&s| s), "n={n}");
         }
-        assert!(plan_batches(&[], 8).is_empty());
-    }
-
-    #[test]
-    fn skewed_costs_produce_cost_balanced_batches() {
-        // First 4 points are 50× the rest: equal-count batching would
-        // put all the weight in batch 0.
-        let mut costs = vec![1.0; 32];
-        for c in costs.iter_mut().take(4) {
-            *c = 50.0;
-        }
-        let batches = plan_batches(&costs, 8);
-        assert_eq!(batches.len(), 4);
-        let batch_costs: Vec<f64> = batches
-            .iter()
-            .map(|b| b.iter().map(|&p| costs[p]).sum())
-            .collect();
-        let max = batch_costs.iter().fold(0.0f64, |a, &b| a.max(b));
-        let share: f64 = costs.iter().sum::<f64>() / 4.0;
-        // No batch holds more than ~one expensive point beyond its
-        // fair share.
-        assert!(
-            max <= share + 50.0,
-            "batch costs {batch_costs:?} vs share {share}"
-        );
+        assert!(plan_batches(0, 8).is_empty());
+        // The batch count is fixed first, then points are spread over
+        // it: 9 points at 4 per batch make three batches of 3.
+        let sizes = |n, b| plan_batches(n, b).iter().map(Vec::len).collect::<Vec<_>>();
+        assert_eq!(sizes(9, 4), [3, 3, 3]);
+        assert_eq!(sizes(10, 3), [3, 3, 3, 1]);
+        assert_eq!(plan_batches(5, 2), [vec![0, 1], vec![2, 3], vec![4]]);
     }
 
     #[test]
@@ -151,7 +101,8 @@ mod tests {
         // other, on the skewed cost surface a real sweep produces
         // (deep-loss corner points dominating). Work-stealing must be
         // strictly better than the best static LPT split computed from
-        // the same cost profile — the static split is fixed before
+        // the same costs, even though the coordinator's batches know
+        // nothing about cost — the static split is fixed before
         // anyone knows which *host* is slow, so the straggler drags
         // exactly its preassigned share, while stealing lets the fast
         // worker drain the queue.
@@ -162,8 +113,7 @@ mod tests {
         let speeds = [1.0, 4.0];
 
         // The static side gets every advantage: perfect knowledge of
-        // every point's cost, LPT-packed into two balanced shards —
-        // the same packing `sweep_plan` emits.
+        // every point's cost, LPT-packed into two balanced shards.
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
         let mut assignment: Vec<Vec<usize>> = vec![Vec::new(), Vec::new()];
@@ -181,7 +131,8 @@ mod tests {
             &speeds,
         ));
 
-        let batches = plan_batches(&costs, 8);
+        // Uniform 8-point batches: steal 1156 against 1900 static.
+        let batches = plan_batches(n, 8);
         let steal = simulate_steal_makespan(&batches, &costs, &speeds);
 
         assert!(
@@ -193,7 +144,7 @@ mod tests {
     #[test]
     fn steal_makespan_degenerates_to_static_with_one_worker() {
         let costs = vec![3.0, 1.0, 4.0, 1.0, 5.0];
-        let batches = plan_batches(&costs, 2);
+        let batches = plan_batches(costs.len(), 2);
         let total: f64 = costs.iter().sum();
         assert!(
             (simulate_steal_makespan(&batches, &costs, &[2.0]) - total * 2.0).abs() < 1e-9

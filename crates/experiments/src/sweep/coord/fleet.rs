@@ -5,8 +5,7 @@
 //! module folds them into one [`FleetRegistry`] that can answer the
 //! `status` query: per-worker last-seen, points/sec, outstanding
 //! lease, and a predicted time-to-finish derived from the **live**
-//! `sweep.solve_us` stream — the reporting-side replacement for the
-//! static `--cost-from` pricing.
+//! `sweep.solve_us` stream, so no prior cost profile is needed.
 //!
 //! ## Why cumulative snapshots, not deltas
 //!

@@ -633,22 +633,6 @@ fn validate_batches(batches: &[Vec<usize>], total: usize) -> Result<(), CoordErr
     Ok(())
 }
 
-/// The batch list a coordinator uses when none is resumed: cost-aware
-/// if a [`CostProfile`](crate::sweep::CostProfile) is supplied,
-/// uniform otherwise.
-pub fn default_batches(
-    plan: &SweepPlan,
-    costs: Option<&[f64]>,
-    batch_points: usize,
-) -> Vec<Vec<usize>> {
-    match costs {
-        Some(costs) if costs.len() == plan.len() => {
-            super::batch::plan_batches(costs, batch_points)
-        }
-        _ => super::batch::plan_batches(&vec![1.0; plan.len()], batch_points),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,6 @@
 //! Crash-tolerant work-stealing coordination for sweep execution.
 //!
-//! The static `--shard`/`--assignment` machinery splits a sweep *ahead
-//! of time*; this module splits it *as it runs*. A single
+//! The static `--shard` split divides a sweep *ahead of time*; this module splits it *as it runs*. A single
 //! **coordinator** (the `sweep_coord` binary) holds the plan's point
 //! batches in a lease table and hands them to whichever worker asks
 //! next; workers (figure binaries in `--steal` mode) **lease** a batch,
@@ -36,9 +35,7 @@ pub use batch::{plan_batches, simulate_steal_makespan, static_makespan, DEFAULT_
 pub use client::{run_steal, worker_identity, ChaosConfig, StealOptions, StealSummary};
 pub use error::CoordError;
 pub use fleet::FleetRegistry;
-pub use lease::{
-    default_batches, CompleteDecision, HeartbeatDecision, LeaseConfig, LeaseDecision, LeaseTable,
-};
+pub use lease::{CompleteDecision, HeartbeatDecision, LeaseConfig, LeaseDecision, LeaseTable};
 pub use proto::{
     trace_id, Endpoint, Listener, Request, Response, StatusReport, WorkerReport, WorkerStatus,
 };

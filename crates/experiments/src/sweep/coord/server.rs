@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use super::batch::plan_batches;
 use super::error::CoordError;
 use super::fleet::FleetRegistry;
 use super::lease::{CompleteDecision, HeartbeatDecision, LeaseConfig, LeaseDecision, LeaseTable};
@@ -35,12 +36,9 @@ pub struct CoordOptions {
     pub lease_log: Option<std::path::PathBuf>,
     /// Lease timing.
     pub config: LeaseConfig,
-    /// Points per batch (cost-weighted batches aim for this average).
+    /// Points per batch (the last batch may be shorter). A resumed
+    /// lease log keeps the batch list it recorded.
     pub batch_points: usize,
-    /// Optional per-point cost estimates (from a
-    /// [`CostProfile`](crate::sweep::CostProfile)); batches are built
-    /// to equal predicted cost when present.
-    pub costs: Option<Vec<f64>>,
 }
 
 impl Default for CoordOptions {
@@ -50,7 +48,6 @@ impl Default for CoordOptions {
             lease_log: None,
             config: LeaseConfig::default(),
             batch_points: super::batch::DEFAULT_BATCH_POINTS,
-            costs: None,
         }
     }
 }
@@ -99,22 +96,14 @@ impl CoordServer {
                         std::fs::remove_file(path).map_err(|e| {
                             CoordError::io(format!("removing {}", path.display()), &e)
                         })?;
-                        let batches = super::lease::default_batches(
-                            plan,
-                            options.costs.as_deref(),
-                            options.batch_points,
-                        );
+                        let batches = plan_batches(plan.len(), options.batch_points);
                         LeaseTable::new(plan, batches, options.config, Some(path))?
                     }
                     Err(e) => return Err(e),
                 }
             }
             _ => {
-                let batches = super::lease::default_batches(
-                    plan,
-                    options.costs.as_deref(),
-                    options.batch_points,
-                );
+                let batches = plan_batches(plan.len(), options.batch_points);
                 LeaseTable::new(plan, batches, options.config, options.lease_log.as_deref())?
             }
         };

@@ -67,11 +67,11 @@ pub enum SweepError {
         /// The stable index of the duplicated point.
         index: usize,
     },
-    /// Two static-shard checkpoints both solved the same point — the
-    /// shard ownership sets overlap. Unlike [`DuplicatePoint`] (a
+    /// Two static-shard checkpoints both solved the same point — one
+    /// shard's file was supplied twice. Unlike [`DuplicatePoint`] (a
     /// within-file defect), this names both conflicting files and the
-    /// point's lattice coordinates so the offending assignment rows
-    /// can be found without decoding indices by hand.
+    /// point's lattice coordinates so the offending files can be found
+    /// without decoding indices by hand.
     ///
     /// [`DuplicatePoint`]: SweepError::DuplicatePoint
     DuplicateAcrossShards {

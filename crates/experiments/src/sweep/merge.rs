@@ -60,8 +60,8 @@ fn mismatch(
 ///    present are exactly `{0, …, n-1}`
 ///    ([`SweepError::IncompleteShardSet`]), every point belongs to the
 ///    shard whose file recorded it ([`SweepError::ForeignPoint`]) and
-///    appears exactly once — a point solved by two shards means the
-///    ownership sets overlap, reported with both file paths and the
+///    appears exactly once — a point recorded twice means one shard's
+///    file was supplied twice, reported with both file paths and the
 ///    point's lattice coordinates
 ///    ([`SweepError::DuplicateAcrossShards`]);
 /// 4. **steal workers**: any worker may have solved any point (a
@@ -292,33 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_of_explicit_assignment_matches_single_run_bitwise() {
-        let s = sweep("demo");
-        let single = run_points(&s, &ShardSpec::FULL, None).unwrap();
-        let dir = tmpdir("explicit");
-        // A deliberately lopsided planner-style split of the 9-point
-        // lattice, including ownership that round-robin would never
-        // produce.
-        let sets = [vec![8, 0], vec![1, 2, 3, 4, 5, 6, 7]];
-        let paths: Vec<PathBuf> = sets
-            .iter()
-            .enumerate()
-            .map(|(i, points)| {
-                let shard = ShardSpec::owned(i as u32, sets.len() as u32, points.clone()).unwrap();
-                let path = dir.join(format!("shard-{i}.jsonl"));
-                run_points(&s, &shard, Some(&path)).unwrap();
-                path
-            })
-            .collect();
-        let merged = merge_checkpoints(&paths).unwrap();
-        assert_eq!(merged.results.len(), single.len());
-        for (a, b) in single.iter().zip(&merged.results) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
-        }
-    }
-
-    #[test]
     fn merge_of_steal_workers_matches_single_run_bitwise() {
         let s = sweep("demo");
         let single = run_points(&s, &ShardSpec::FULL, None).unwrap();
@@ -396,52 +369,6 @@ mod tests {
         assert!(matches!(
             merge_checkpoints(&mixed).unwrap_err(),
             SweepError::ManifestMismatch { field: "mode", .. }
-        ));
-    }
-
-    #[test]
-    fn merge_rejects_overlapping_and_gappy_explicit_assignments() {
-        let s = sweep("demo");
-        let dir = tmpdir("explicit-bad");
-        let run_owned = |name: &str, i: u32, n: u32, points: Vec<usize>| {
-            let shard = ShardSpec::owned(i, n, points).unwrap();
-            let path = dir.join(format!("{name}.jsonl"));
-            run_points(&s, &shard, Some(&path)).unwrap();
-            path
-        };
-
-        // Point 4 owned by both shards: the error names both files and
-        // the lattice coordinates, not just the bare index.
-        let overlap = [
-            run_owned("ov-0", 0, 2, vec![0, 1, 2, 3, 4]),
-            run_owned("ov-1", 1, 2, vec![4, 5, 6, 7, 8]),
-        ];
-        match merge_checkpoints(&overlap).unwrap_err() {
-            SweepError::DuplicateAcrossShards {
-                index,
-                coords,
-                first,
-                second,
-            } => {
-                assert_eq!(index, 4);
-                assert_eq!(coords, vec![1.0, 5.0]);
-                assert_eq!(first, overlap[0]);
-                assert_eq!(second, overlap[1]);
-            }
-            other => panic!("expected DuplicateAcrossShards, got {other:?}"),
-        }
-
-        // Point 4 owned by neither.
-        let gappy = [
-            run_owned("gap-0", 0, 2, vec![0, 1, 2, 3]),
-            run_owned("gap-1", 1, 2, vec![5, 6, 7, 8]),
-        ];
-        assert!(matches!(
-            merge_checkpoints(&gappy).unwrap_err(),
-            SweepError::MissingPoints {
-                missing: 1,
-                first: 4
-            }
         ));
     }
 

@@ -20,8 +20,7 @@
 //!   and solved values are bit-identical warm or cold.
 //! * [`ShardSpec`] — `--shard i/n` partitions the lattice round-robin
 //!   by stable point index, so every shard receives a mix of cheap and
-//!   deep-loss points; the owned-set form ([`ShardSpec::owned`])
-//!   carries an explicit planner-produced point assignment instead.
+//!   deep-loss points.
 //! * [`run_points`] — executes one shard, fanning points through the
 //!   worker pool ([`lrd_pool::par_map`]); with a checkpoint path it
 //!   streams completed [`PointResult`]s — each stamped with its
@@ -32,15 +31,8 @@
 //!   profile, shard set, point ownership) and reassembles the full
 //!   surface bit-identically to a single-host run, failing with a
 //!   typed [`SweepError`] on any inconsistency.
-//! * [`CostProfile`] / [`plan_assignment`] / [`SweepAssignment`] — the
-//!   cost model: aggregate measured per-point durations from prior
-//!   checkpoints, interpolate the unmeasured lattice, and bin-pack the
-//!   points into an explicit per-shard assignment whose predicted
-//!   makespan is never worse than the round-robin split's. The
-//!   `sweep_plan` binary drives this from the command line.
-//!
-//! * [`coord`] — dynamic work-stealing as an alternative to static
-//!   sharding: a `sweep_coord` process serves cost-priced point
+//! * [`coord`] — dynamic work-stealing as the alternative to static
+//!   sharding: a `sweep_coord` process serves uniform contiguous point
 //!   batches under a lease/heartbeat protocol, `--steal` workers
 //!   solve whatever they can lease, and expired leases (crashed or
 //!   wedged workers) are reclaimed and re-issued. Duplicate solves
@@ -57,9 +49,7 @@ pub mod coord;
 mod error;
 mod merge;
 mod plan;
-mod planner;
 mod runner;
-mod shard;
 
 pub use checkpoint::{
     manifest_line, manifest_line_for, point_line, read_checkpoint, validate_checkpoint,
@@ -68,6 +58,5 @@ pub use checkpoint::{
 pub use error::SweepError;
 pub use merge::{merge_checkpoints, MergedSurface};
 pub use plan::{Axis, PointResult, PointSpec, SweepPlan};
-pub use planner::{plan_assignment, CostProfile, ShardPlan, SweepAssignment};
+pub use lrd_cli::ShardSpec;
 pub use runner::{run_grid, run_points, FigureSweep, CHECKPOINT_CHUNK};
-pub use shard::ShardSpec;

@@ -90,8 +90,8 @@ pub struct PointResult {
     /// `solver.solve` telemetry span by the checkpointing runner.
     /// `None` when the point was solved without a checkpoint or read
     /// from a duration-less (pre-cost-model) checkpoint. Never enters
-    /// the plan hash or the solved values — it exists for the
-    /// cost-weighted re-split planner alone.
+    /// the plan hash or the solved values — it is a timing record for
+    /// offline inspection only.
     pub solve_us: Option<f64>,
 }
 

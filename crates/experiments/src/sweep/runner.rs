@@ -56,9 +56,8 @@ impl std::fmt::Debug for FigureSweep<'_> {
 /// stamping the summed span duration into the result. No new
 /// stopwatch: the timing is the one the solver's own span already
 /// measures, captured thread-locally (so it composes with `par_map`
-/// workers and any installed telemetry sink). Durations feed the
-/// cost-weighted re-split planner only — they never influence the
-/// solved values.
+/// workers and any installed telemetry sink). Durations are a timing
+/// record only — they never influence the solved values.
 pub(crate) fn solve_timed(
     sweep: &FigureSweep<'_>,
     spec: &PointSpec,
@@ -265,7 +264,7 @@ pub(crate) fn append_with_retry(
 /// fan through [`lrd_pool::par_map`] in one batch. With a checkpoint,
 /// completed points are appended in [`CHECKPOINT_CHUNK`]-sized batches as
 /// they finish — each point line carrying its measured `solver.solve`
-/// duration for the re-split planner — and a pre-existing file from an
+/// duration — and a pre-existing file from an
 /// interrupted run is **resumed**: its manifest is validated against
 /// the plan (figure, plan hash, profile, shard, lattice size — any
 /// disagreement is a typed [`SweepError::ManifestMismatch`]), its
@@ -296,7 +295,7 @@ pub fn run_points(
         return Ok(results);
     };
 
-    let origin = CheckpointOrigin::Shard(shard.clone());
+    let origin = CheckpointOrigin::Shard(*shard);
     let (mut done, mut file) = open_checkpoint(path, &sweep.plan, &origin)?;
 
     let remaining: Vec<PointSpec> = owned
@@ -402,23 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_shard_solves_exactly_its_owned_points() {
-        let s = sweep();
-        let shard = ShardSpec::owned(0, 2, vec![7, 2, 4]).unwrap();
-        let path = tmp("explicit");
-        let _ = std::fs::remove_file(&path);
-        let results = run_points(&s, &shard, Some(&path)).unwrap();
-        assert_eq!(
-            results.iter().map(|r| r.index).collect::<Vec<_>>(),
-            vec![2, 4, 7]
-        );
-        // The owned set survives the checkpoint round trip, so a
-        // resume validates against the same ownership.
-        let again = run_points(&s, &shard, Some(&path)).unwrap();
-        assert_eq!(results, again);
-    }
-
-    #[test]
     fn checkpointed_run_records_solver_span_durations() {
         let plan = sweep().plan;
         let spanning = FigureSweep {
@@ -510,12 +492,13 @@ mod tests {
         run_points(&s, &ShardSpec::FULL, None).unwrap();
         assert_eq!(drain_sorted(&warmed), vec![2, 3, 4, 5]);
 
-        // An explicit shard: donors outside the owned set seed nothing.
-        // Owned {0, 2, 3, 5}: donor(2)=0 and donor(5)=3 are in-shard,
-        // donor(3)=1 is not — deterministically cold.
-        let shard = ShardSpec::owned(0, 1, vec![0, 2, 3, 5]).unwrap();
-        run_points(&s, &shard, None).unwrap();
-        assert_eq!(drain_sorted(&warmed), vec![2, 5]);
+        // A shard: donors outside it seed nothing. Shard 0/2 owns
+        // {0, 2, 4}, so donor(2)=0 and donor(4)=2 are in-shard; shard
+        // 0/3 owns {0, 3} and donor(3)=1 is not — deterministically cold.
+        run_points(&s, &ShardSpec::new(0, 2).unwrap(), None).unwrap();
+        assert_eq!(drain_sorted(&warmed), vec![2, 4]);
+        run_points(&s, &ShardSpec::new(0, 3).unwrap(), None).unwrap();
+        assert_eq!(drain_sorted(&warmed), Vec::<usize>::new());
     }
 
     #[test]

@@ -108,7 +108,6 @@ fn final_status_reconciles_with_checkpoints_under_heartbeat_chaos() {
                 lease_ttl_ms: 200,
             },
             batch_points: 3,
-            costs: None,
         },
     )
     .unwrap();

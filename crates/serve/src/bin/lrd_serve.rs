@@ -131,7 +131,6 @@ fn parse_args() -> Result<Args, String> {
         (common.quick, "--quick"),
         (common.shard.is_some(), "--shard"),
         (common.checkpoint.is_some(), "--checkpoint"),
-        (common.assignment.is_some(), "--assignment"),
         (common.steal.is_some(), "--steal"),
     ] {
         if set {

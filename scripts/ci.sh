@@ -19,6 +19,11 @@ cargo test -q --release --workspace --locked
 echo "=== clippy (-D warnings) ==="
 cargo clippy --workspace --all-targets --locked -- -D warnings
 
+echo "=== benchmark tests (lrdbench, its own workspace) ==="
+# lrdbench builds against the workspace crates by path: a workspace
+# API change that breaks it fails here rather than in a benchmark run.
+cargo test -q --release --offline --manifest-path lrdbench/Cargo.toml
+
 echo "=== telemetry smoke (--telemetry JSONL capture) ==="
 smokedir="$(mktemp -d -t lrd-telemetry.XXXXXX)"
 trap 'rm -rf "$smokedir"' EXIT
@@ -67,25 +72,6 @@ LRD_RESULTS_DIR="$smokedir" LRD_SIMD=off cargo run -q --release --locked \
     -p lrd-experiments --bin fig04_mtv_model -- --quick \
     > "$smokedir/fig04_scalar.csv"
 diff -u "$smokedir/fig04_full.csv" "$smokedir/fig04_scalar.csv"
-
-echo "=== plan smoke (cost-weighted re-split reproduces the surface) ==="
-# The shard smoke's checkpoints recorded per-point solve_us durations;
-# feed them to the planner, re-run the sweep under the explicit
-# assignment it emits, and the merged figure must still be byte-exact.
-cargo run -q --release --locked -p lrd-experiments --bin sweep_plan -- \
-    --shards 2 --output "$smokedir/assignment.json" \
-    "$smokedir/fig04_shard0.jsonl" "$smokedir/fig04_shard1.jsonl"
-for i in 0 1; do
-    LRD_RESULTS_DIR="$smokedir" cargo run -q --release --locked \
-        -p lrd-experiments --bin fig04_mtv_model -- --quick \
-        --shard "$i/2" --assignment "$smokedir/assignment.json" \
-        --checkpoint "$smokedir/fig04_planned$i.jsonl" > /dev/null
-done
-LRD_RESULTS_DIR="$smokedir" cargo run -q --release --locked \
-    -p lrd-experiments --bin sweep_merge -- \
-    "$smokedir/fig04_planned0.jsonl" "$smokedir/fig04_planned1.jsonl" \
-    > "$smokedir/fig04_planned.csv"
-diff -u "$smokedir/fig04_full.csv" "$smokedir/fig04_planned.csv"
 
 echo "=== chaos smoke (work-stealing sweep survives a worker SIGKILL) ==="
 # A coordinator plus two stealing workers, one SIGKILLed mid-lease and

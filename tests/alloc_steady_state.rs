@@ -7,22 +7,35 @@
 //! plan comes from the process-wide cache, and the serial pool path
 //! shares one pre-allocated scope state. Allocation counts, unlike
 //! wall-clock time, are exactly reproducible — so this is a hard
-//! regression guard, not a benchmark. The counting allocator is
-//! process-global, hence the dedicated integration-test binary.
+//! regression guard, not a benchmark. The allocator is process-global,
+//! hence the dedicated integration-test binary; it counts per thread,
+//! and only while armed inside [`allocations_during`], so the tests
+//! libtest runs side by side never see each other's allocations.
 
 use lrd::fft::Convolver;
 use lrd::pool::with_threads;
 use lrd::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised `Cell`s need no lazy setup and no destructor,
+    // so touching them from inside the allocator cannot recurse.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counting touches only const-initialised
+// thread-locals, which never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: a thread may allocate while its locals are torn down.
+        if ARMED.try_with(Cell::get).unwrap_or(false) {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        }
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -33,10 +46,24 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Heap allocations the calling thread makes while running `f`.
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|armed| armed.set(true));
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ARMED.with(|armed| armed.set(false));
+    ALLOCATIONS.with(Cell::get)
+}
+
+#[test]
+fn counter_sees_allocations_on_the_measuring_thread() {
+    // Negative control: the zero bounds below only mean something if
+    // an allocating closure is actually counted.
+    let allocs = allocations_during(|| {
+        let v: Vec<u64> = std::hint::black_box(Vec::with_capacity(16));
+        drop(v);
+    });
+    assert!(allocs >= 1, "an allocating closure was counted as {allocs}");
 }
 
 #[test]

@@ -1,14 +1,12 @@
 //! Sharded sweep execution is a pure partition of the unsharded run:
-//! any shard count, any kill-and-resume history, round-robin or
-//! planner-assigned ownership, and a final merge must reproduce the
-//! single-process surface bit for bit.
+//! any shard count, any kill-and-resume history, static round-robin
+//! shards or work-stealing workers, and a final merge must reproduce
+//! the single-process surface bit for bit.
 
 use std::path::PathBuf;
 
 use lrd_experiments::figures::{fig04_05, Profile};
-use lrd_experiments::sweep::{
-    merge_checkpoints, plan_assignment, read_checkpoint, run_points, CostProfile, ShardSpec,
-};
+use lrd_experiments::sweep::{merge_checkpoints, read_checkpoint, run_points, ShardSpec};
 use lrd_experiments::Corpus;
 
 #[test]
@@ -154,74 +152,6 @@ fn killed_shard_resumes_without_resolving_or_drifting() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn planned_assignment_partition_merges_bit_identically_with_resume() {
-    // The full cost-model loop: a round-robin profiling run records
-    // durations, sweep_plan's planner re-splits the lattice, workers
-    // run their explicit point sets (one of them killed and resumed),
-    // and the merged surface still matches the unsharded run bit for
-    // bit.
-    let corpus = Corpus::quick();
-    let sweep = fig04_05::fig04_sweep(&corpus, Profile::Quick);
-    let reference = run_points(&sweep, &ShardSpec::FULL, None).unwrap();
-
-    let dir = std::env::temp_dir().join("lrd-sweep-assign-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // Profiling pass: an ordinary round-robin sharded run.
-    let profiling = solve_sharded(&dir, 2);
-    let profile = CostProfile::from_checkpoints(&profiling).unwrap();
-    assert_eq!(
-        profile.measured_points(),
-        sweep.plan.len(),
-        "a checkpointed run must record a duration for every point"
-    );
-
-    // Plan the re-split and check the acceptance criterion: never
-    // worse than round-robin on the recorded durations.
-    let assignment = plan_assignment(&sweep.plan, &profile, 2).unwrap();
-    let costs = profile.costs(&sweep.plan).unwrap();
-    let round_robin_makespan = (0..2usize)
-        .map(|i| (i..costs.len()).step_by(2).map(|p| costs[p]).sum::<f64>())
-        .fold(0.0, f64::max);
-    assert!(assignment.makespan() <= round_robin_makespan);
-
-    // Run the planned shards, killing shard 0 mid-write and resuming.
-    let paths: Vec<PathBuf> = (0..2u32)
-        .map(|i| {
-            let shard = assignment.shard_spec(i).unwrap();
-            assert!(shard.is_explicit());
-            let path = dir.join(format!("planned{i}.jsonl"));
-            run_points(&sweep, &shard, Some(&path)).unwrap();
-            path
-        })
-        .collect();
-    let text = std::fs::read_to_string(&paths[0]).unwrap();
-    let mut lines: Vec<&str> = text.lines().collect();
-    let tail = lines.pop().unwrap();
-    let truncated = format!("{}\n{}", lines.join("\n"), &tail[..tail.len().min(10)]);
-    std::fs::write(&paths[0], truncated).unwrap();
-    run_points(&sweep, &assignment.shard_spec(0).unwrap(), Some(&paths[0])).unwrap();
-
-    let merged = merge_checkpoints(&paths).unwrap();
-    assert_eq!(merged.results.len(), reference.len());
-    for (m, r) in merged.results.iter().zip(&reference) {
-        assert_eq!(m.index, r.index);
-        assert_eq!(
-            m.value.to_bits(),
-            r.value.to_bits(),
-            "planned-assignment merge drifted at point {}",
-            m.index
-        );
-        // The planner's split may separate a point from its lattice
-        // donor, costing only iterations (see the sharded-merge test).
-        assert!(m.iterations == r.iterations || r.iterations == 0);
-    }
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Strips the `solve_us` field from every point line, producing the
 /// exact byte format checkpoints had before the cost model existed.
 fn strip_durations(text: &str) -> String {
@@ -285,12 +215,6 @@ fn durationless_checkpoints_resume_and_merge_byte_identically() {
         assert_eq!(m.solve_us, None);
     }
 
-    // A duration-less profile still plans (point-count balancing).
-    let profile = CostProfile::from_checkpoints(&paths).unwrap();
-    assert_eq!(profile.measured_points(), 0);
-    let assignment = plan_assignment(&sweep.plan, &profile, 2).unwrap();
-    assert_eq!(assignment.makespan(), (sweep.plan.len() as f64 / 2.0).ceil());
-
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -330,7 +254,6 @@ fn steal_kill_and_resume_matrix_merges_bit_identically() {
                 lease_log: Some(lease_log.clone()),
                 config,
                 batch_points: 3,
-                costs: None,
             },
         )
         .unwrap()

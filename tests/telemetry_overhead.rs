@@ -5,23 +5,37 @@
 //!
 //! Allocation counts are exactly reproducible for the deterministic
 //! solver, unlike wall-clock time, so this is the regression guard that
-//! can run on shared CI hardware. The counting allocator is process
-//! -global, which is why this file holds a single test and lives in its
-//! own integration-test binary.
+//! can run on shared CI hardware. The allocator is process-global, so
+//! this file lives in its own integration-test binary; it counts per
+//! thread and only while armed, so other test threads never leak into a
+//! measurement. Solves run on the serial pool path (`with_threads(1)`)
+//! so every allocation they make lands on the measuring thread.
 
 use lrd::obs;
+use lrd::pool::with_threads;
 use lrd::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised `Cell`s need no lazy setup and no destructor,
+    // so touching them from inside the allocator cannot recurse.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counting touches only const-initialised
+// thread-locals, which never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: a thread may allocate while its locals are torn down.
+        if ARMED.try_with(Cell::get).unwrap_or(false) {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        }
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -46,18 +60,22 @@ fn solve_once() -> LossSolution {
         rel_gap: 1e-9,
         ..SolverOptions::default()
     };
-    SolveSession::builder(&model)
-        .options(&opts)
-        .run()
-        .expect("valid options")
-        .0
+    with_threads(1, || {
+        SolveSession::builder(&model)
+            .options(&opts)
+            .run()
+            .expect("valid options")
+            .0
+    })
 }
 
+/// Heap allocations the calling thread makes while running `f`.
 fn allocations_while(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|armed| armed.set(true));
     f();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    after - before
+    ARMED.with(|armed| armed.set(false));
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn allocations_during(f: impl Fn() -> LossSolution) -> usize {
