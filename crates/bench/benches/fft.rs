@@ -41,7 +41,7 @@ fn bench_conv_crossover(c: &mut Harness) {
 /// signal lengths, exactly as in `BoundSolver::step`.
 fn bench_conv_pair(c: &mut Harness) {
     let mut g = c.group("conv_pair");
-    for m in [256usize, 1024, 4096] {
+    for m in [256usize, 1024, 4096, 8192] {
         let kernel_a = probability_vector(2 * m + 1, 0.37);
         let kernel_b = probability_vector(2 * m + 1, 0.41);
         let sig_a = probability_vector(m + 1, 0.73);
@@ -101,7 +101,7 @@ fn bench_plan_cache_contention(c: &mut Harness) {
 
 fn bench_raw_fft(c: &mut Harness) {
     let mut g = c.group("fft_transform");
-    for n in [1024usize, 8192, 65536] {
+    for n in [1024usize, 8192, 32768, 65536] {
         g.bench_with_input(n, &n, |b, &n| {
             let plan = Fft::new(n);
             let data: Vec<lrd_fft::Complex> = (0..n)

@@ -10,9 +10,11 @@
 //! an evolving occupancy vector on every iteration; [`Convolver`]
 //! caches the kernel's spectrum, shares the FFT plan through a
 //! process-wide plan cache, and keeps every intermediate buffer alive
-//! across calls, so the steady-state per-iteration cost is two
-//! half-size real transforms and **zero heap allocations**
-//! (`tests/telemetry_overhead.rs` pins the allocation count).
+//! across calls. The solver's step runs both bounding chains through
+//! [`Convolver::conv_pair`]: per iteration, one full-length complex
+//! forward and one inverse cascade carry both chains, with the bit
+//! reversal folded into the scatter and product passes, and **zero
+//! heap allocations** (`tests/alloc_steady_state.rs` pins the count).
 
 use crate::complex::Complex;
 use crate::transform::{next_pow2, Fft, RealFft};
@@ -255,6 +257,27 @@ impl PairPath {
     }
 }
 
+/// The batched pair's product pass, conjugated and stored bit-reversed
+/// for the inverse butterflies:
+/// `y[rev(k)] = conj(Z[k]·S[k] + conj(Z[(n−k) mod n])·D[k])`.
+/// Bins `k` and `n − k` are computed together, so each `Z` bin is read
+/// once; each output bin's expression is unchanged.
+fn pair_product(plan: &Fft, z: &[Complex], sum: &[Complex], diff: &[Complex], y: &mut [Complex]) {
+    let n = z.len();
+    let h = n / 2;
+    let mut put = |k: usize, zk: Complex, zr: Complex| {
+        y[plan.bit_reversed(k)] = (zk * sum[k] + zr.conj() * diff[k]).conj();
+    };
+    // Bins 0 and n/2 are their own mirrors.
+    put(0, z[0], z[0]);
+    put(h, z[h], z[h]);
+    for k in 1..h {
+        let (zk, zm) = (z[k], z[n - k]);
+        put(k, zk, zm);
+        put(n - k, zm, zk);
+    }
+}
+
 impl Convolver {
     /// Plans convolution of signals of length `signal_len` against
     /// `kernel`.
@@ -396,27 +419,29 @@ impl Convolver {
             ca.pair = Some(PairPath::build(&ca.kernel, &cb.kernel, n));
         }
         let pair = ca.pair.as_mut().expect("pair path just built");
+        let plan = &pair.plan;
+        // Forward: the packed signals go straight into their
+        // bit-reversed slots (only `signal_len` are nonzero), so
+        // `plan.forward` reduces to its butterflies.
         pair.z.clear();
         pair.z.resize(n, Complex::ZERO);
-        for (slot, (&a, &b)) in pair.z.iter_mut().zip(sig_a.iter().zip(sig_b)) {
-            *slot = Complex::new(a, b);
+        for (j, (&a, &b)) in sig_a.iter().zip(sig_b).enumerate() {
+            pair.z[plan.bit_reversed(j)] = Complex::new(a, b);
         }
-        pair.plan.forward(&mut pair.z);
-        pair.y.clear();
+        plan.butterflies(&mut pair.z);
+        // Product, then `plan.inverse` unrolled: its conjugate and
+        // permute passes fold into this loop's bit-reversed stores,
+        // its final `conj·(1/n)` into the output split. Every slot of
+        // `y` is written, so a warm buffer needs no clearing.
         pair.y.resize(n, Complex::ZERO);
-        for k in 0..n {
-            let zr = pair.z[(n - k) % n].conj();
-            pair.y[k] = pair.z[k] * pair.sum_spec[k] + zr * pair.diff_spec[k];
-        }
-        pair.plan.inverse(&mut pair.y);
+        pair_product(plan, &pair.z, &pair.sum_spec, &pair.diff_spec, &mut pair.y);
+        plan.butterflies(&mut pair.y);
+        let inv_n = plan.inverse_scale();
+        let y = &pair.y[..out_len];
         ca.out.clear();
-        ca.out.resize(out_len, 0.0);
+        ca.out.extend(y.iter().map(|y| y.conj().scale(inv_n).re));
         cb.out.clear();
-        cb.out.resize(out_len, 0.0);
-        for (j, y) in pair.y[..out_len].iter().enumerate() {
-            ca.out[j] = y.re;
-            cb.out[j] = y.im;
-        }
+        cb.out.extend(y.iter().map(|y| y.conj().scale(inv_n).im));
         if let Some(start) = start {
             lrd_obs::histogram("fft.conv_us", start.elapsed().as_secs_f64() * 1e6);
             lrd_obs::counter("fft.convs", 2);

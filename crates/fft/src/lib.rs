@@ -10,9 +10,10 @@
 //! cache-friendly direct convolution used automatically for small sizes.
 //!
 //! The implementation is deliberately plain (iterative radix-2
-//! decimation-in-time with precomputed twiddle tables); following the
-//! smoltcp design ethos, simplicity and robustness beat cleverness, and
-//! the solver's grids are always padded to powers of two anyway.
+//! decimation-in-time with precomputed twiddle tables, run in L1-sized
+//! blocks); following the smoltcp design ethos, simplicity and
+//! robustness beat cleverness, and the solver's grids are always
+//! padded to powers of two anyway.
 
 #![warn(missing_docs)]
 

@@ -24,7 +24,11 @@
 //!   `b.re*w.im + b.im*w.re` — IEEE 754 addition is commutative
 //!   (identical bits for swapped operands), so the results agree
 //!   bit for bit;
-//! * [`axpy`] lanes are elementwise independent: no reassociation.
+//! * [`axpy`] lanes are elementwise independent: no reassociation;
+//! * the cascade is cache-blocked on both paths and runs its stages in
+//!   fused pairs on the AVX path: that reorders butterflies of
+//!   *independent* groups, never an element's own operations or
+//!   operands (see `blocked` and `stages_avx`).
 //!
 //! The scalar fallbacks live here too, so the traversal order of every
 //! kernel is defined in exactly one place.
@@ -70,10 +74,30 @@ fn detect() -> SimdLevel {
     SimdLevel::Scalar
 }
 
+/// Length, in complex points, of the cache blocks the cascade's inner
+/// stages run in: 1024 × 16 B = 16 KiB of data, L1-resident next to
+/// the strided twiddles the block's stages read.
+pub(crate) const BLOCK: usize = 1024;
+
 /// The full radix-2 decimation-in-time butterfly cascade over
 /// bit-reversal-permuted `data`. `twiddles[k]` must hold
 /// `e^{-2πik/n}` for `k in 0..n/2`.
+///
+/// Cache-blocked (see `blocked`): the result is bit-identical to the
+/// plain stage-by-stage sweep for every length and SIMD level.
+///
+/// # Panics
+///
+/// Panics if `data.len()` is not a power of two (or zero) or
+/// `twiddles` holds fewer than `data.len()/2` factors — the AVX
+/// kernels index both through raw pointers.
 pub fn butterflies(data: &mut [Complex], twiddles: &[Complex]) {
+    let n = data.len();
+    assert!(
+        n == 0 || n.is_power_of_two(),
+        "butterfly length must be a power of two, got {n}"
+    );
+    assert!(twiddles.len() >= n / 2, "butterfly twiddle table too short");
     match level() {
         SimdLevel::Scalar => butterflies_scalar(data, twiddles),
         #[cfg(target_arch = "x86_64")]
@@ -83,13 +107,44 @@ pub fn butterflies(data: &mut [Complex], twiddles: &[Complex]) {
     }
 }
 
+/// Drives a cascade cache-blocked: every stage with `len <= BLOCK`
+/// runs block by block over aligned [`BLOCK`]-point windows, then the
+/// remaining outer stages sweep the whole buffer. `stages(window,
+/// first, last)` runs the stages `len = first, 2·first, ..=last` over
+/// `window`, an aligned slice of the length-`data.len()` transform.
+///
+/// Bit-identity: a butterfly group of a stage with `len <= BLOCK`
+/// never straddles a block, groups within a stage are independent,
+/// and each one still reads its twiddles as `twiddles[k·n/len]` with
+/// the full length `n`. So every element sees the same operations on
+/// the same operands in the same stage order as in a whole-buffer
+/// sweep — only the interleaving across independent groups changes.
+fn blocked(data: &mut [Complex], mut stages: impl FnMut(&mut [Complex], usize, usize)) {
+    let n = data.len();
+    let block = n.min(BLOCK);
+    if block < 2 {
+        return;
+    }
+    for window in data.chunks_exact_mut(block) {
+        stages(window, 2, block);
+    }
+    stages(data, 2 * block, n);
+}
+
 fn butterflies_scalar(data: &mut [Complex], twiddles: &[Complex]) {
     let n = data.len();
-    let mut len = 2;
-    while len <= n {
+    blocked(data, |window, first, last| {
+        stages_scalar(window, twiddles, n, first, last)
+    });
+}
+
+/// Stages `len = first..=last` of a length-`n` cascade over `data`.
+fn stages_scalar(data: &mut [Complex], twiddles: &[Complex], n: usize, first: usize, last: usize) {
+    let mut len = first;
+    while len <= last {
         let half = len / 2;
         let step = n / len;
-        for start in (0..n).step_by(len) {
+        for start in (0..data.len()).step_by(len) {
             for k in 0..half {
                 let w = twiddles[k * step];
                 let a = data[start + k];
@@ -102,55 +157,202 @@ fn butterflies_scalar(data: &mut [Complex], twiddles: &[Complex]) {
     }
 }
 
-/// AVX butterfly cascade: two adjacent `k` positions per iteration
-/// (four doubles), scalar for the odd remainder (only the `len == 2`
-/// stage, whose half-width is 1). See the module docs for why this is
-/// bit-identical to [`butterflies_scalar`].
+/// AVX butterfly cascade, blocked exactly like [`butterflies_scalar`].
 ///
 /// # Safety
 ///
 /// Requires AVX (guaranteed by the [`level`] dispatch).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
 unsafe fn butterflies_avx(data: &mut [Complex], twiddles: &[Complex]) {
-    use std::arch::x86_64::*;
     let n = data.len();
+    // SAFETY: AVX per the caller's contract; `butterflies` checked that
+    // `n` is a power of two and the table holds `n/2` twiddles; and
+    // `blocked` passes either a `block`-point window with
+    // `last = block` or the whole buffer with `last = n`, so the window
+    // length is a multiple of `last <= n`, as `stages_avx` requires.
+    blocked(data, |window, first, last| unsafe {
+        stages_avx(window, twiddles, n, first, last)
+    });
+}
+
+/// AVX stages `len = first..=last` of a length-`n` cascade. The
+/// stages run in fused pairs — `len = 2, 4` in registers, then
+/// `(len, 2·len)` radix-2² passes — so each pass loads and stores the
+/// data once for two stages; a leftover single stage runs alone.
+/// Fusing only changes when an element's butterflies run, never their
+/// operands or per-element order, so the result is bit-identical to
+/// [`stages_scalar`] (see the module docs for the complex multiply).
+///
+/// # Safety
+///
+/// Requires AVX (guaranteed by the [`level`] dispatch); `first` and
+/// `last` powers of two with `first >= 2`, `data.len()` a multiple of
+/// `last`, `last <= n` and `twiddles.len() >= n/2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn stages_avx(
+    data: &mut [Complex],
+    twiddles: &[Complex],
+    n: usize,
+    first: usize,
+    last: usize,
+) {
+    let mut len = first;
+    if len == 2 && last >= 4 {
+        first_stage_pair_avx(data, twiddles, n);
+        len = 8;
+    }
+    while len <= last {
+        if len >= 4 && 2 * len <= last {
+            stage_pair_avx(data, twiddles, n, len);
+            len <<= 2;
+        } else {
+            stage_avx(data, twiddles, n, len);
+            len <<= 1;
+        }
+    }
+}
+
+/// `[twiddles[i], twiddles[j]]` as one packed register.
+///
+/// # Safety
+///
+/// Requires AVX, and `tw` valid for reading complex entries `i`, `j`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+unsafe fn twiddle_pair(tw: *const f64, i: usize, j: usize) -> std::arch::x86_64::__m256d {
+    use std::arch::x86_64::*;
+    _mm256_set_m128d(_mm_loadu_pd(tw.add(2 * j)), _mm_loadu_pd(tw.add(2 * i)))
+}
+
+/// One stage `len`: two adjacent `k` positions per iteration (four
+/// doubles), scalar for the odd remainder (only the `len == 2` stage,
+/// whose half-width is 1).
+///
+/// # Safety
+///
+/// Requires AVX (guaranteed by the [`level`] dispatch), `data.len()`
+/// a multiple of `len`, `len <= n` and `twiddles.len() >= n/2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn stage_avx(data: &mut [Complex], twiddles: &[Complex], n: usize, len: usize) {
+    use std::arch::x86_64::*;
+    let size = data.len();
     // `Complex` is `repr(C)`: the buffer is [re, im, re, im, ...].
     let ptr = data.as_mut_ptr() as *mut f64;
     let tw = twiddles.as_ptr() as *const f64;
-    let mut len = 2;
-    while len <= n {
-        let half = len / 2;
-        let step = n / len;
-        let mut start = 0;
-        while start < n {
-            let mut k = 0;
-            while k + 2 <= half {
-                // W = [w0.re, w0.im, w1.re, w1.im]
-                let w = _mm256_set_m128d(
-                    _mm_loadu_pd(tw.add(2 * (k + 1) * step)),
-                    _mm_loadu_pd(tw.add(2 * k * step)),
-                );
-                let a_ptr = ptr.add(2 * (start + k));
-                let b_ptr = ptr.add(2 * (start + k + half));
-                let a = _mm256_loadu_pd(a_ptr);
-                let b = _mm256_loadu_pd(b_ptr);
-                let bw = cmul_avx(b, w);
-                _mm256_storeu_pd(a_ptr, _mm256_add_pd(a, bw));
-                _mm256_storeu_pd(b_ptr, _mm256_sub_pd(a, bw));
-                k += 2;
-            }
-            while k < half {
-                let w = twiddles[k * step];
-                let a = data[start + k];
-                let b = data[start + k + half] * w;
-                data[start + k] = a + b;
-                data[start + k + half] = a - b;
-                k += 1;
-            }
-            start += len;
+    let half = len / 2;
+    let step = n / len;
+    let mut start = 0;
+    while start < size {
+        let mut k = 0;
+        while k + 2 <= half {
+            let w = twiddle_pair(tw, k * step, (k + 1) * step);
+            let a_ptr = ptr.add(2 * (start + k));
+            let b_ptr = ptr.add(2 * (start + k + half));
+            let a = _mm256_loadu_pd(a_ptr);
+            let bw = cmul_avx(_mm256_loadu_pd(b_ptr), w);
+            _mm256_storeu_pd(a_ptr, _mm256_add_pd(a, bw));
+            _mm256_storeu_pd(b_ptr, _mm256_sub_pd(a, bw));
+            k += 2;
         }
-        len <<= 1;
+        while k < half {
+            let w = twiddles[k * step];
+            let a = data[start + k];
+            let b = data[start + k + half] * w;
+            data[start + k] = a + b;
+            data[start + k + half] = a - b;
+            k += 1;
+        }
+        start += len;
+    }
+}
+
+/// Stages `len = 2` and `len = 4` fused over each 4-point group
+/// `x0..x3`, entirely in registers: `(x0,x1)` and `(x2,x3)` with
+/// `twiddles[0]`, then `(y0,y2)` with `twiddles[0]` and `(y1,y3)` with
+/// `twiddles[n/4]`.
+///
+/// # Safety
+///
+/// Requires AVX (guaranteed by the [`level`] dispatch), `data.len()`
+/// a multiple of 4, `n >= 4` and `twiddles.len() >= n/2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn first_stage_pair_avx(data: &mut [Complex], twiddles: &[Complex], n: usize) {
+    use std::arch::x86_64::*;
+    let size = data.len();
+    let ptr = data.as_mut_ptr() as *mut f64;
+    let tw = twiddles.as_ptr() as *const f64;
+    let w1 = twiddle_pair(tw, 0, 0);
+    let w2 = twiddle_pair(tw, 0, n / 4);
+    let mut g = 0;
+    while g < size {
+        let p = ptr.add(2 * g);
+        let x01 = _mm256_loadu_pd(p);
+        let x23 = _mm256_loadu_pd(p.add(4));
+        // len = 2: a = [x0, x2], b = [x1, x3].
+        let a = _mm256_permute2f128_pd(x01, x23, 0x20);
+        let bw = cmul_avx(_mm256_permute2f128_pd(x01, x23, 0x31), w1);
+        let y02 = _mm256_add_pd(a, bw);
+        let y13 = _mm256_sub_pd(a, bw);
+        // len = 4: a = [y0, y1], b = [y2, y3].
+        let a = _mm256_permute2f128_pd(y02, y13, 0x20);
+        let bw = cmul_avx(_mm256_permute2f128_pd(y02, y13, 0x31), w2);
+        _mm256_storeu_pd(p, _mm256_add_pd(a, bw));
+        _mm256_storeu_pd(p.add(4), _mm256_sub_pd(a, bw));
+        g += 4;
+    }
+}
+
+/// Stages `len` and `2·len` fused (radix-2²), for `len >= 4`: per
+/// group of `2·len` and pair of adjacent `k < len/2`, the four points
+/// `x0 = k, x1 = k + len/2, x2 = k + len, x3 = k + 3·len/2` take stage
+/// `len` (`(x0,x1)`, `(x2,x3)`, twiddle `k·n/len`), then stage `2·len`
+/// (`(y0,y2)` with twiddle `k·n/(2len)`, `(y1,y3)` with
+/// `(k + len/2)·n/(2len)`), loaded and stored once.
+///
+/// # Safety
+///
+/// Requires AVX (guaranteed by the [`level`] dispatch), `len >= 4`,
+/// `data.len()` a multiple of `2·len`, `2·len <= n` and
+/// `twiddles.len() >= n/2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn stage_pair_avx(data: &mut [Complex], twiddles: &[Complex], n: usize, len: usize) {
+    use std::arch::x86_64::*;
+    let size = data.len();
+    let ptr = data.as_mut_ptr() as *mut f64;
+    let tw = twiddles.as_ptr() as *const f64;
+    let half = len / 2;
+    let (step1, step2) = (n / len, n / (2 * len));
+    let mut start = 0;
+    while start < size {
+        let mut k = 0;
+        while k < half {
+            let w1 = twiddle_pair(tw, k * step1, (k + 1) * step1);
+            let w2a = twiddle_pair(tw, k * step2, (k + 1) * step2);
+            let w2b = twiddle_pair(tw, (k + half) * step2, (k + half + 1) * step2);
+            let p0 = ptr.add(2 * (start + k));
+            let p1 = p0.add(2 * half);
+            let p2 = p0.add(2 * len);
+            let p3 = p2.add(2 * half);
+            let x0 = _mm256_loadu_pd(p0);
+            let x2 = _mm256_loadu_pd(p2);
+            let bw = cmul_avx(_mm256_loadu_pd(p1), w1);
+            let (y0, y1) = (_mm256_add_pd(x0, bw), _mm256_sub_pd(x0, bw));
+            let bw = cmul_avx(_mm256_loadu_pd(p3), w1);
+            let (y2, y3) = (_mm256_add_pd(x2, bw), _mm256_sub_pd(x2, bw));
+            let bw = cmul_avx(y2, w2a);
+            _mm256_storeu_pd(p0, _mm256_add_pd(y0, bw));
+            _mm256_storeu_pd(p2, _mm256_sub_pd(y0, bw));
+            let bw = cmul_avx(y3, w2b);
+            _mm256_storeu_pd(p1, _mm256_add_pd(y1, bw));
+            _mm256_storeu_pd(p3, _mm256_sub_pd(y1, bw));
+            k += 2;
+        }
+        start += 2 * len;
     }
 }
 
@@ -275,20 +477,51 @@ mod tests {
             .collect()
     }
 
+    /// The unblocked stage-by-stage cascade the blocked kernels
+    /// replaced, kept as the bit-identity oracle.
+    fn butterflies_unblocked_scalar(data: &mut [Complex], twiddles: &[Complex]) {
+        let n = data.len();
+        let mut len = 2;
+        while len <= n {
+            let half = len / 2;
+            let step = n / len;
+            for start in (0..n).step_by(len) {
+                for k in 0..half {
+                    let w = twiddles[k * step];
+                    let a = data[start + k];
+                    let b = data[start + k + half] * w;
+                    data[start + k] = a + b;
+                    data[start + k + half] = a - b;
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    fn assert_bits_eq(want: &[Complex], got: &[Complex], what: &str) {
+        for (i, (a, b)) in want.iter().zip(got).enumerate() {
+            assert_eq!(
+                (a.re.to_bits(), a.im.to_bits()),
+                (b.re.to_bits(), b.im.to_bits()),
+                "{what}, bin {i}: {a:?} vs {b:?}"
+            );
+        }
+    }
+
     #[test]
     fn butterfly_paths_bitwise_equal() {
-        for &n in &[1usize, 2, 4, 8, 64, 512] {
+        for &n in &[1usize, 2, 4, 8, 64, 512, BLOCK, 2 * BLOCK, 32768] {
             let tw = twiddles(n);
-            let mut scalar = ramp(n);
-            let mut simd = scalar.clone();
+            let mut oracle = ramp(n);
+            let mut scalar = oracle.clone();
+            let mut simd = oracle.clone();
+            butterflies_unblocked_scalar(&mut oracle, &tw);
             butterflies_scalar(&mut scalar, &tw);
             // Exercises whichever path `level()` picks; on AVX hosts
             // this is the vector path, elsewhere it re-runs scalar.
             butterflies(&mut simd, &tw);
-            for (a, b) in scalar.iter().zip(&simd) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
-            }
+            assert_bits_eq(&oracle, &scalar, &format!("blocked scalar, n={n}"));
+            assert_bits_eq(&oracle, &simd, &format!("dispatched, n={n}"));
         }
     }
 
@@ -310,26 +543,29 @@ mod tests {
     #[test]
     fn butterfly_paths_bitwise_equal_across_1k_seeded_inputs() {
         // The bit-identity contract, property-tested: 1000 seeded
-        // random inputs across the solver's transform sizes, scalar
-        // cascade vs the dispatched (SIMD on AVX hosts) cascade.
+        // random inputs across the solver's transform sizes (up to
+        // n = 65536, well past BLOCK, so the whole-buffer outer stages
+        // run too). The blocked scalar cascade and the dispatched one
+        // (SIMD on AVX hosts) must both match the unblocked oracle.
         use lrd_rng::{Rng, SeedableRng};
         let mut rng = lrd_rng::rngs::SmallRng::seed_from_u64(0x5eed_f00d);
         for case in 0..1000u32 {
-            let n = 1usize << (1 + (case % 10)); // 2 .. 1024
+            let n = 1usize << (1 + (case % 16)); // 2 .. 65536
             let tw = twiddles(n);
-            let mut scalar: Vec<Complex> = (0..n)
+            let mut oracle: Vec<Complex> = (0..n)
                 .map(|_| Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
                 .collect();
-            let mut simd = scalar.clone();
+            let mut scalar = oracle.clone();
+            let mut simd = oracle.clone();
+            butterflies_unblocked_scalar(&mut oracle, &tw);
             butterflies_scalar(&mut scalar, &tw);
             butterflies(&mut simd, &tw);
-            for (i, (a, b)) in scalar.iter().zip(&simd).enumerate() {
-                assert_eq!(
-                    (a.re.to_bits(), a.im.to_bits()),
-                    (b.re.to_bits(), b.im.to_bits()),
-                    "case {case}, n={n}, bin {i}: {a:?} vs {b:?}"
-                );
-            }
+            assert_bits_eq(
+                &oracle,
+                &scalar,
+                &format!("case {case}, blocked scalar, n={n}"),
+            );
+            assert_bits_eq(&oracle, &simd, &format!("case {case}, dispatched, n={n}"));
         }
     }
 

@@ -79,7 +79,7 @@ impl Fft {
         }
         self.permute(data);
         self.butterflies(data);
-        let inv_n = 1.0 / self.n as f64;
+        let inv_n = self.inverse_scale();
         for z in data.iter_mut() {
             *z = z.conj().scale(inv_n);
         }
@@ -94,8 +94,24 @@ impl Fft {
         }
     }
 
-    fn butterflies(&self, data: &mut [Complex]) {
+    /// The slot [`Fft::forward`]'s bit-reversal permutation moves
+    /// natural index `i` to. Fused callers scatter straight into these
+    /// slots and then run [`Fft::butterflies`], skipping the separate
+    /// copy and permute passes without changing a bit.
+    pub(crate) fn bit_reversed(&self, i: usize) -> usize {
+        self.rev[i] as usize
+    }
+
+    /// The butterfly cascade alone, over data already in bit-reversed
+    /// order; the result is in natural order.
+    pub(crate) fn butterflies(&self, data: &mut [Complex]) {
+        debug_assert_eq!(data.len(), self.n);
         crate::simd::butterflies(data, &self.twiddles);
+    }
+
+    /// The `1/n` of [`Fft::inverse`]'s final `conj(·)·(1/n)` pass.
+    pub(crate) fn inverse_scale(&self) -> f64 {
+        1.0 / self.n as f64
     }
 }
 
@@ -171,15 +187,16 @@ impl RealFft {
             self.n
         );
         let h = self.n / 2;
-        // Pack z[j] = x[2j] + i·x[2j+1] (absent samples are zero).
+        // Pack z[j] = x[2j] + i·x[2j+1] (absent samples are zero)
+        // straight into its bit-reversed slot, so only the butterflies
+        // of `half.forward` remain.
         work.clear();
         work.resize(h, Complex::ZERO);
-        for (j, z) in work.iter_mut().enumerate() {
-            let re = input.get(2 * j).copied().unwrap_or(0.0);
-            let im = input.get(2 * j + 1).copied().unwrap_or(0.0);
-            *z = Complex::new(re, im);
+        for (j, pair) in input.chunks(2).enumerate() {
+            let im = pair.get(1).copied().unwrap_or(0.0);
+            work[self.half.bit_reversed(j)] = Complex::new(pair[0], im);
         }
-        self.half.forward(work);
+        self.half.butterflies(work);
         // Untangle: with Z = fft(z) and Z[h] := Z[0],
         //   Xe[k] = (Z[k] + conj(Z[h−k]))/2        (spectrum of evens)
         //   Xo[k] = −i·(Z[k] − conj(Z[h−k]))/2     (spectrum of odds)
@@ -212,19 +229,24 @@ impl RealFft {
         // Re-tangle: Z[k] = Xe[k] + i·Xo[k] with
         //   Xe[k] = (X[k] + conj(X[h−k]))/2
         //   Xo[k] = e^{+2πik/n}·(X[k] − conj(X[h−k]))/2,  k = 0..h−1.
-        work.clear();
+        // `half.inverse` is conj → permute → butterflies → conj·(1/h):
+        // the first two land in the re-tangle's bit-reversed stores,
+        // the last in the output split. Every slot is overwritten, so
+        // a warm `work` needs no clearing.
         work.resize(h, Complex::ZERO);
-        for (k, z) in work.iter_mut().enumerate() {
+        for k in 0..h {
             let xk = spectrum[k];
             let xr = spectrum[h - k].conj();
             let even = (xk + xr).scale(0.5);
             let odd = self.twiddles[k].conj() * (xk - xr).scale(0.5);
-            *z = even + Complex::new(0.0, 1.0) * odd;
+            work[self.half.bit_reversed(k)] = (even + Complex::new(0.0, 1.0) * odd).conj();
         }
-        self.half.inverse(work);
+        self.half.butterflies(work);
+        let inv_h = self.half.inverse_scale();
         output.clear();
         output.resize(self.n, 0.0);
         for (j, z) in work.iter().enumerate() {
+            let z = z.conj().scale(inv_h);
             output[2 * j] = z.re;
             output[2 * j + 1] = z.im;
         }

@@ -267,12 +267,12 @@ impl WarmState {
 /// The pair of discretized bounding chains at a fixed grid resolution,
 /// steppable one arrival at a time.
 ///
-/// The two chains are data-independent, so [`BoundSolver::step`]
-/// advances them concurrently on the [`lrd_pool::current`] pool
-/// (serially, in the historical order, when the pool has one thread).
-/// Each chain's floating-point work is identical for every thread
-/// count, so the bounds are bit-for-bit reproducible regardless of
-/// parallelism.
+/// [`BoundSolver::step`] advances both chains on the calling thread
+/// through one batched transform ([`Convolver::conv_pair`]); only
+/// [`BoundSolver::refine`] forks onto the [`lrd_pool::current`] pool,
+/// to rebuild the two chains' grids side by side. Each chain's
+/// floating-point work is identical for every thread count, so the
+/// bounds are bit-for-bit reproducible regardless of parallelism.
 #[derive(Debug)]
 pub struct BoundSolver<D> {
     model: QueueModel<D>,

@@ -1,12 +1,13 @@
 //! `lrd-pool` — a small fixed-size scoped thread pool.
 //!
-//! The solver advances two data-independent bounding chains per
-//! iteration and the figure binaries solve many independent
+//! The solver rebuilds two data-independent bounding chains at every
+//! grid refinement and the figure binaries solve many independent
 //! `(model, buffer, cutoff)` points per sweep; both are embarrassingly
 //! parallel, yet the workspace is hermetic by construction (DESIGN.md
-//! §6) and carries no rayon. This crate supplies the minimal slice of
-//! structured parallelism those two call sites need, on nothing but
-//! `std::thread`:
+//! §6) and carries no rayon. (The per-iteration chain step itself runs
+//! on one thread: both chains share one batched transform.) This crate
+//! supplies the minimal slice of structured parallelism those two call
+//! sites need, on nothing but `std::thread`:
 //!
 //! * [`Pool::scope`] — spawn borrowing tasks, wait for all of them,
 //!   propagate the first panic;

@@ -72,6 +72,10 @@ LRD_RESULTS_DIR="$smokedir" LRD_SIMD=off cargo run -q --release --locked \
     -p lrd-experiments --bin fig04_mtv_model -- --quick \
     > "$smokedir/fig04_scalar.csv"
 diff -u "$smokedir/fig04_full.csv" "$smokedir/fig04_scalar.csv"
+# The level is read once per process, so in-process tests reach the
+# scalar kernels only through direct calls; this re-runs the FFT
+# crate's suite (golden bits, cascade oracle) with scalar dispatch.
+LRD_SIMD=off cargo test -q --release --locked -p lrd-fft
 
 echo "=== chaos smoke (work-stealing sweep survives a worker SIGKILL) ==="
 # A coordinator plus two stealing workers, one SIGKILLed mid-lease and

@@ -68,21 +68,30 @@ fn counter_sees_allocations_on_the_measuring_thread() {
 
 #[test]
 fn warm_convolver_fft_path_never_allocates() {
-    // kernel_len * signal_len = 512 * 256 clears DIRECT_THRESHOLD, so
-    // this exercises the real-FFT path with its persistent spectra.
-    let kernel: Vec<f64> = (0..512).map(|i| 1.0 / (i + 1) as f64).collect();
-    let signal: Vec<f64> = (0..256).map(|i| (i as f64 * 0.1).sin()).collect();
-    let mut cv = Convolver::new(&kernel, signal.len());
-    let warm = cv.conv(&signal).to_vec();
-    let allocs = allocations_during(|| {
-        for _ in 0..100 {
-            let out = cv.conv(&signal);
-            assert_eq!(out.len(), kernel.len() + signal.len() - 1);
-        }
-    });
-    assert_eq!(allocs, 0, "warm FFT-path conv allocated {allocs} times in 100 calls");
-    // Reuse must not change the answer.
-    assert_eq!(cv.conv(&signal), &warm[..]);
+    // Both shapes clear DIRECT_THRESHOLD, so the real-FFT path with
+    // its persistent spectra runs. The second is the solver's shape at
+    // M = 4096 (kernel 2M+1, signal M+1): its half-size complex
+    // transform is 8192 points, past the cascade's L1 block, so the
+    // blocked outer stages and the fused bit-reversed pack/re-tangle
+    // run too.
+    for (kernel_len, signal_len) in [(512usize, 256usize), (8193, 4097)] {
+        let kernel: Vec<f64> = (0..kernel_len).map(|i| 1.0 / (i + 1) as f64).collect();
+        let signal: Vec<f64> = (0..signal_len).map(|i| (i as f64 * 0.1).sin()).collect();
+        let mut cv = Convolver::new(&kernel, signal.len());
+        let warm = cv.conv(&signal).to_vec();
+        let allocs = allocations_during(|| {
+            for _ in 0..100 {
+                let out = cv.conv(&signal);
+                assert_eq!(out.len(), kernel.len() + signal.len() - 1);
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "warm FFT-path conv ({kernel_len}x{signal_len}) allocated {allocs} times in 100 calls"
+        );
+        // Reuse must not change the answer.
+        assert_eq!(cv.conv(&signal), &warm[..]);
+    }
 }
 
 #[test]
@@ -101,27 +110,33 @@ fn warm_convolver_direct_path_never_allocates() {
 
 #[test]
 fn warm_solver_steps_never_allocate_on_the_serial_path() {
-    // A full solver step is two chain updates (convolution, clamp,
-    // renormalize, swap) through the pool. On the serial path the
-    // whole thing must be allocation-free once warmed; the parallel
-    // path necessarily boxes its tasks, which is why the solver keeps
-    // `--threads 1` as the reference configuration.
+    // A full solver step is one batched two-chain convolution
+    // (`Convolver::conv_pair`) plus each chain's clamp, renormalize
+    // and swap. Once warmed the whole step must be allocation-free;
+    // the solver keeps `--threads 1` as the reference configuration.
+    // M = 4096 runs 16384-point batched transforms, past the cascade's
+    // L1 block, through the fused bit-reversed scatter and product.
     let model = QueueModel::from_utilization(
         Marginal::new(&[2.0, 14.0], &[0.5, 0.5]),
         TruncatedPareto::from_hurst(0.8, 0.05, 1.0),
         0.8,
         0.2,
     );
-    with_threads(1, || {
-        let mut solver = BoundSolver::new(model.clone(), 512);
-        for _ in 0..4 {
-            solver.step();
-        }
-        let allocs = allocations_during(|| {
-            for _ in 0..50 {
+    for (bins, steps) in [(512usize, 50usize), (4096, 10)] {
+        with_threads(1, || {
+            let mut solver = BoundSolver::new(model.clone(), bins);
+            for _ in 0..4 {
                 solver.step();
             }
+            let allocs = allocations_during(|| {
+                for _ in 0..steps {
+                    solver.step();
+                }
+            });
+            assert_eq!(
+                allocs, 0,
+                "warm M={bins} solver step allocated {allocs} times in {steps} steps"
+            );
         });
-        assert_eq!(allocs, 0, "warm serial solver step allocated {allocs} times in 50 steps");
-    });
+    }
 }
