@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use lrd_cli::{require_value, CommonArgs};
 use lrd_net::{connect, recv_line, send_line, Endpoint, Listener};
-use lrd_serve::engine::{Engine, EngineOptions};
+use lrd_serve::engine::{Engine, EngineOptions, MAX_WINDOW};
 use lrd_serve::flow::FlowSpec;
 use lrd_serve::proto::Request;
 use lrd_serve::{serve, signal};
@@ -84,7 +84,8 @@ fn parse_args() -> Result<Args, String> {
                      `listening <endpoint>` on stdout once bound; answers JSON-line\n\
                      requests (status, loss_bound, solve, provision, shutdown) one\n\
                      per connection. --tick-ms 0 freezes the arrival clock so the\n\
-                     daemon's state is exactly --warmup-ticks deterministic ticks."
+                     daemon's state is exactly --warmup-ticks deterministic ticks.\n\
+                     --window is the per-flow sample window (at most {MAX_WINDOW})."
                 );
                 std::process::exit(0);
             }
@@ -103,7 +104,13 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => seed = integer("--seed", &require_value("--seed", args)?).map_err(invalid)?,
             "--window" => {
                 let v = require_value("--window", args)?;
-                opts.window = positive("--window", &v).map_err(invalid)? as usize;
+                let window = positive("--window", &v).map_err(invalid)?;
+                if window > MAX_WINDOW as u64 {
+                    return Err(invalid(format!(
+                        "--window must be at most {MAX_WINDOW} samples, got {window}"
+                    )));
+                }
+                opts.window = window as usize;
             }
             "--refresh-every" => {
                 let v = require_value("--refresh-every", args)?;

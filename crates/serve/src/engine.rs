@@ -44,12 +44,16 @@ use lrd_traffic::{Marginal, TruncatedPareto};
 use crate::flow::{Flow, FlowSpec};
 use crate::proto::{FlowStatus, Response};
 
+/// Largest sliding window (samples) a flow may hold: every flow
+/// allocates its window up front, so the CLI refuses anything larger.
+pub const MAX_WINDOW: usize = 1 << 20;
+
 /// Engine tuning knobs (all have serving-oriented defaults).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
     /// Seconds of traffic per arrival tick.
     pub dt: f64,
-    /// Sliding-window length in samples.
+    /// Sliding-window length in samples (at most [`MAX_WINDOW`]).
     pub window: usize,
     /// Hurst-estimate refresh cadence (pushes).
     pub refresh_every: usize,
@@ -600,32 +604,42 @@ mod tests {
         // A warmed flow whose source degenerates to a constant keeps
         // serving the last good estimate; the roster exposes the rising
         // staleness so operators can see the estimate is frozen.
-        let mut engine = warmed_markov_engine();
-        let flow = engine.flows.get_mut("m").unwrap();
-        for _ in 0..256 {
-            flow.inject_sample(5.0);
+        for constant in [5.0, 0.1, 12.7] {
+            let mut engine = warmed_markov_engine();
+            let flow = engine.flows.get_mut("m").unwrap();
+            for _ in 0..256 {
+                flow.inject_sample(constant);
+            }
+            let Response::Status { flows, .. } = engine.status() else {
+                panic!("expected status");
+            };
+            assert!(flows[0].warmed, "stale estimate must keep the flow warm");
+            assert!(flows[0].hurst.is_some());
+            let cadence = quick_options().refresh_every as u64;
+            assert!(
+                flows[0].hurst_staleness > cadence,
+                "staleness {} should have breached the cadence {cadence} (constant {constant})",
+                flows[0].hurst_staleness
+            );
+            // Queries still answer over the wire — possibly from a
+            // stale model, never via a panic. A constant above the
+            // flow's service rate (10) is an overloaded queue, which
+            // must come back as the typed overload error.
+            let response = engine.handle(&Request::LossBound {
+                flow: "m".to_string(),
+                buffer: 1.0,
+            });
+            match &response {
+                Response::Error { message } if constant >= 10.0 => assert!(
+                    message.contains("meets or exceeds the service rate"),
+                    "overloaded constant flow should be a typed overload error: {message}"
+                ),
+                response => assert!(
+                    !matches!(response, Response::Error { .. }),
+                    "stale-but-warm flow should still answer: {response:?}"
+                ),
+            }
         }
-        let Response::Status { flows, .. } = engine.status() else {
-            panic!("expected status");
-        };
-        assert!(flows[0].warmed, "stale estimate must keep the flow warm");
-        assert!(flows[0].hurst.is_some());
-        let cadence = quick_options().refresh_every as u64;
-        assert!(
-            flows[0].hurst_staleness > cadence,
-            "staleness {} should have breached the cadence {cadence}",
-            flows[0].hurst_staleness
-        );
-        // Queries still answer over the wire — possibly from a stale
-        // model, never via a panic.
-        let response = engine.handle(&Request::LossBound {
-            flow: "m".to_string(),
-            buffer: 1.0,
-        });
-        assert!(
-            !matches!(response, Response::Error { .. }),
-            "stale-but-warm flow should still answer: {response:?}"
-        );
     }
 
     #[test]

@@ -211,3 +211,31 @@ fn sigterm_flushes_telemetry_before_exit() {
     );
     std::fs::remove_dir_all(dir).ok();
 }
+
+#[test]
+fn oversized_window_is_a_typed_cli_error_before_binding() {
+    // Every flow allocates its window at startup, so an unbounded
+    // --window would abort on allocation; the CLI must refuse it with a
+    // message and a non-zero exit before the listener binds.
+    let dir = std::env::temp_dir().join(format!("lrd-serve-test-{}-window", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("daemon.sock");
+    let cap = lrd_serve::engine::MAX_WINDOW;
+    let output = Command::new(env!("CARGO_BIN_EXE_lrd-serve"))
+        .arg("--listen")
+        .arg(format!("unix:{}", socket.display()))
+        .args(["--flow", "m,family=markov,service=10.0"])
+        .args(["--tick-ms", "0", "--window", &(cap + 1).to_string()])
+        .output()
+        .unwrap();
+    assert!(!output.status.success(), "oversized window was accepted");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains(&format!("--window must be at most {cap}")),
+        "missing cap message: {stderr:?}"
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.is_empty(), "daemon printed {stdout:?}");
+    assert!(!socket.exists(), "daemon bound its socket");
+    std::fs::remove_dir_all(dir).ok();
+}

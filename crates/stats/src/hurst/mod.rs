@@ -2,7 +2,7 @@
 //!
 //! The paper reports `H ≈ 0.83` for the MTV trace and `H ≈ 0.9` for
 //! the Bellcore trace, obtained with "a Whittle or wavelet based
-//! estimator" (Sec. III, citing Abry & Veitch). Four independent
+//! estimator" (Sec. III, citing Abry & Veitch). Five independent
 //! estimators are provided so results can be cross-checked, which is
 //! standard practice in the LRD literature — individual estimators are
 //! biased in different ways:
@@ -20,16 +20,22 @@
 //! Each returns a [`HurstEstimate`] carrying the point estimate, the
 //! regression behind it, and the `(x, y)` points of the diagnostic plot
 //! so callers can render the classical figures.
+//!
+//! R/S, variance–time and wavelet each keep their per-scale state in
+//! one accumulator (`RsScale`, `VtLevel`, and the Haar pyramid that is
+//! [`crate::OnePassWavelet`]). The batch functions here, the grow-only
+//! [`crate::onepass`] estimators and the sliding-window
+//! [`crate::StreamingHurst`] all drive those same accumulators, so the
+//! three paths agree bit for bit by construction.
 
 mod periodogram;
 mod rs;
 mod whittle;
 mod vt;
-mod wavelet;
+pub(crate) mod wavelet;
 
-pub(crate) use rs::{fit_points as rs_fit_points, rescaled_range};
-pub(crate) use vt::fit_points as vt_fit_points;
-pub(crate) use wavelet::try_wavelet_estimate_from_energies;
+pub(crate) use rs::{fit_scales as rs_fit_scales, RsScale};
+pub(crate) use vt::{fit_levels as vt_fit_levels, VtLevel};
 
 pub use periodogram::gph_estimate;
 pub use rs::{rs_estimate, try_rs_estimate, try_rs_estimate_with_sizes};
@@ -40,6 +46,7 @@ pub use vt::{
 pub use wavelet::{haar_energies, try_wavelet_estimate, wavelet_estimate};
 pub use whittle::{whittle_estimate, whittle_estimate_with_bandwidth};
 
+use crate::error::EstimatorError;
 use crate::regression::LinearFit;
 
 /// A Hurst-parameter estimate together with its diagnostic regression.
@@ -63,6 +70,63 @@ impl HurstEstimate {
     }
 }
 
+/// Mean of the clamped point estimates, `None` when there are none:
+/// the one pooled summary the one-pass and streaming bundles report.
+pub(crate) fn pooled<'a>(estimates: impl IntoIterator<Item = &'a HurstEstimate>) -> Option<f64> {
+    let (sum, n) = estimates
+        .into_iter()
+        .fold((0.0, 0u32), |(sum, n), e| (sum + e.clamped(), n + 1));
+    (n > 0).then(|| sum / n as f64)
+}
+
+/// Whether every sample equals the first, compared exactly. This is
+/// the one constancy rule: a two-pass variance of identical values
+/// such as `0.1` is rounding noise (~1e-30), not zero, so testing the
+/// computed spread against zero would let noise pass for signal.
+pub(crate) fn is_constant(x: &[f64]) -> bool {
+    x.iter().all(|&v| v == x[0])
+}
+
+/// The shared minimum-length precondition of the estimators.
+pub(crate) fn require_samples(
+    estimator: &'static str,
+    needed: usize,
+    got: usize,
+) -> Result<(), EstimatorError> {
+    if got < needed {
+        return Err(EstimatorError::TooFewSamples {
+            estimator,
+            needed,
+            got,
+        });
+    }
+    Ok(())
+}
+
+/// The shared final stage of the log-log estimators: regresses the
+/// diagnostic `points` and maps the slope to `H`. Fewer than two
+/// points is [`EstimatorError::TooFewPoints`].
+pub(crate) fn fit_points(
+    estimator: &'static str,
+    points: Vec<(f64, f64)>,
+    h_of_slope: fn(f64) -> f64,
+) -> Result<HurstEstimate, EstimatorError> {
+    if points.len() < 2 {
+        return Err(EstimatorError::TooFewPoints {
+            estimator,
+            got: points.len(),
+        });
+    }
+    let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
+    let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
+    let fit = crate::regression::linear_fit(&xs, &ys);
+    Ok(HurstEstimate {
+        h: h_of_slope(fit.slope),
+        fit,
+        points,
+    })
+}
+
 /// Asymptotic standard error of the GPH log-periodogram estimator with
 /// bandwidth `m`: `π / (√24 · √m)` (Geweke & Porter-Hudak, 1983).
 pub fn gph_std_error(bandwidth: usize) -> f64 {
@@ -82,11 +146,10 @@ pub fn whittle_std_error(bandwidth: usize) -> f64 {
 /// the nearest power otherwise.
 ///
 /// The streaming and one-pass estimators regress over dyadic scales:
-/// dyadic blocks nest (every size-`2n` block is two size-`n` blocks),
-/// which is what lets a hierarchical aggregator maintain every scale
-/// in one pass, and lets the sliding-window backend reuse block state
-/// across refreshes. The batch `*_with_sizes` estimators accept these
-/// sizes directly, so the two paths stay bit-comparable.
+/// dyadic blocks nest (every size-`2n` block is two size-`n` blocks)
+/// and tile a power-of-two ring, which is what lets the one-pass R/S
+/// accumulator score each completed block in place. The batch
+/// `*_with_sizes` estimators accept these sizes directly.
 pub fn dyadic_sizes(lo: usize, hi: usize) -> Vec<usize> {
     assert!(lo >= 1 && hi >= lo, "need 1 <= lo <= hi");
     let mut n = lo.next_power_of_two();

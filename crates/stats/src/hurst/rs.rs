@@ -7,10 +7,9 @@
 //! deviation. For an LRD process, `E[R/S] ~ c·n^H`, so the slope of
 //! `log(R/S)` against `log n` estimates `H`.
 
-use super::{log_spaced_sizes, HurstEstimate};
-use crate::descriptive::{mean, std_dev};
+use super::{fit_points, is_constant, log_spaced_sizes, require_samples, HurstEstimate};
+use crate::descriptive::mean;
 use crate::error::EstimatorError;
-use crate::regression::linear_fit;
 
 const ESTIMATOR: &str = "R/S analysis";
 
@@ -33,21 +32,15 @@ pub fn rs_estimate(x: &[f64]) -> HurstEstimate {
 /// every block constant" window that used to panic deep inside the
 /// regression.
 pub fn try_rs_estimate(x: &[f64]) -> Result<HurstEstimate, EstimatorError> {
-    if x.len() < 64 {
-        return Err(EstimatorError::TooFewSamples {
-            estimator: ESTIMATOR,
-            needed: 64,
-            got: x.len(),
-        });
-    }
+    require_samples(ESTIMATOR, 64, x.len())?;
     try_rs_estimate_with_sizes(x, &log_spaced_sizes(8, x.len() / 4, 16))
 }
 
 /// [`try_rs_estimate`] over caller-chosen block sizes (strictly
-/// increasing, each ≥ 2). The streaming backend uses this with dyadic
-/// sizes so its tiled block state can be pinned bit-equal to the batch
-/// path; sizes exceeding `x.len()` contribute no blocks and drop out,
-/// exactly as in the log-spaced path.
+/// increasing, each ≥ 2), e.g. the dyadic sizes the one-pass and
+/// streaming estimators regress over; sizes exceeding `x.len()`
+/// contribute no blocks and drop out, exactly as in the log-spaced
+/// path.
 pub fn try_rs_estimate_with_sizes(
     x: &[f64],
     sizes: &[usize],
@@ -55,59 +48,79 @@ pub fn try_rs_estimate_with_sizes(
     if sizes.is_empty() {
         return Err(EstimatorError::NoUsableScales { estimator: ESTIMATOR });
     }
-    let mut points = Vec::with_capacity(sizes.len());
-    for &n in sizes {
-        let mut acc = 0.0;
-        let mut blocks = 0usize;
-        for chunk in x.chunks_exact(n) {
-            if let Some(rs) = rescaled_range(chunk) {
-                acc += rs;
-                blocks += 1;
-            }
-        }
-        if blocks > 0 {
-            points.push(((n as f64).ln(), (acc / blocks as f64).ln()));
-        }
-    }
-    fit_points(points)
+    let scales: Vec<RsScale> = sizes
+        .iter()
+        .map(|&n| {
+            let mut scale = RsScale::new(n);
+            x.chunks_exact(n).for_each(|block| scale.score(block));
+            scale
+        })
+        .collect();
+    fit_scales(&scales)
 }
 
-/// Regresses pre-accumulated `(ln n, ln avg R/S)` points. Exposed to
-/// the streaming backend so its incrementally maintained per-size block
-/// averages go through the identical final fit.
-pub(crate) fn fit_points(points: Vec<(f64, f64)>) -> Result<HurstEstimate, EstimatorError> {
-    if points.len() < 2 {
-        return Err(EstimatorError::TooFewPoints {
-            estimator: ESTIMATOR,
-            got: points.len(),
-        });
-    }
-    let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
-    let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
-    let fit = linear_fit(&xs, &ys);
-    Ok(HurstEstimate {
-        h: fit.slope,
-        fit,
-        points,
-    })
+/// One block size's R/S accumulator: the sum of the statistics of the
+/// non-constant blocks scored so far, in block order. The batch path
+/// scores `chunks_exact` blocks and [`crate::OnePassRs`] scores each
+/// block as the stream completes it — the same blocks in the same
+/// order, hence the same bits.
+#[derive(Debug, Clone)]
+pub(crate) struct RsScale {
+    pub(crate) size: usize,
+    acc: f64,
+    blocks: u64,
 }
 
-/// R/S statistic of one block; `None` if the block is constant.
-pub(crate) fn rescaled_range(block: &[f64]) -> Option<f64> {
-    let m = mean(block);
-    let s = std_dev(block);
-    if s == 0.0 {
+impl RsScale {
+    pub(crate) fn new(size: usize) -> Self {
+        RsScale {
+            size,
+            acc: 0.0,
+            blocks: 0,
+        }
+    }
+
+    /// Adds one block's R/S statistic; constant blocks are skipped.
+    pub(crate) fn score(&mut self, block: &[f64]) {
+        if let Some(rs) = rescaled_range(block) {
+            self.acc += rs;
+            self.blocks += 1;
+        }
+    }
+}
+
+/// Regresses `ln avg R/S` on `ln n` over the scales that scored at
+/// least one block.
+pub(crate) fn fit_scales<'a>(
+    scales: impl IntoIterator<Item = &'a RsScale>,
+) -> Result<HurstEstimate, EstimatorError> {
+    let points: Vec<(f64, f64)> = scales
+        .into_iter()
+        .filter(|s| s.blocks > 0)
+        .map(|s| ((s.size as f64).ln(), (s.acc / s.blocks as f64).ln()))
+        .collect();
+    fit_points(ESTIMATOR, points, |slope| slope)
+}
+
+/// R/S statistic of one block; `None` if the block is constant (all
+/// samples equal, see [`is_constant`]) or its spread underflows to zero.
+fn rescaled_range(block: &[f64]) -> Option<f64> {
+    if is_constant(block) {
         return None;
     }
-    let mut cum = 0.0;
-    let mut lo = 0.0f64;
-    let mut hi = 0.0f64;
+    let m = mean(block);
+    // One pass over the deviations: the squared sum (the population
+    // variance's second pass, same order) and the cumulative range.
+    let (mut squares, mut cum, mut lo, mut hi) = (0.0, 0.0, 0.0f64, 0.0f64);
     for &v in block {
-        cum += v - m;
+        let d = v - m;
+        squares += d * d;
+        cum += d;
         lo = lo.min(cum);
         hi = hi.max(cum);
     }
-    Some((hi - lo) / s)
+    let s = (squares / block.len() as f64).sqrt();
+    (s != 0.0).then(|| (hi - lo) / s)
 }
 
 #[cfg(test)]
@@ -123,7 +136,9 @@ mod tests {
 
     #[test]
     fn constant_block_is_none() {
-        assert!(rescaled_range(&[2.0, 2.0, 2.0]).is_none());
+        for v in [2.0, 0.1, 12.7] {
+            assert!(rescaled_range(&[v; 3]).is_none(), "constant block at {v}");
+        }
     }
 
     #[test]

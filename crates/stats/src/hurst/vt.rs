@@ -7,10 +7,8 @@
 //! ref. [23]). The slope `β` of the variance–time log-log plot
 //! therefore gives `H = 1 + β/2`.
 
-use super::{log_spaced_sizes, HurstEstimate};
-use crate::descriptive::variance;
+use super::{fit_points, is_constant, log_spaced_sizes, require_samples, HurstEstimate};
 use crate::error::EstimatorError;
-use crate::regression::linear_fit;
 
 const ESTIMATOR: &str = "variance-time";
 
@@ -31,26 +29,17 @@ pub fn variance_time_estimate(x: &[f64]) -> HurstEstimate {
 /// the overall variance is positive (e.g. a prime-length window whose
 /// only deviant sample is truncated away at every level `m ≥ 2`).
 pub fn try_variance_time_estimate(x: &[f64]) -> Result<HurstEstimate, EstimatorError> {
-    if x.len() < 64 {
-        return Err(EstimatorError::TooFewSamples {
-            estimator: ESTIMATOR,
-            needed: 64,
-            got: x.len(),
-        });
-    }
-    if variance(x) <= 0.0 {
-        return Err(EstimatorError::ZeroVariance { estimator: ESTIMATOR });
-    }
+    require_samples(ESTIMATOR, 64, x.len())?;
     // Keep at least ~8 aggregated points per level so the variance
     // estimate is meaningful.
     try_variance_time_estimate_with_sizes(x, &log_spaced_sizes(1, x.len() / 8, 16))
 }
 
 /// [`try_variance_time_estimate`] over caller-chosen aggregation levels
-/// (strictly increasing, each ≥ 1). The streaming backend uses this
-/// with dyadic levels so its hierarchical block aggregators can be
-/// pinned bit-equal to the batch path; levels leaving fewer than two
-/// aggregated blocks drop out, exactly as in the log-spaced path.
+/// (strictly increasing, each ≥ 1), e.g. the dyadic levels the one-pass
+/// and streaming estimators regress over; levels leaving fewer than two
+/// aggregated blocks drop out, exactly as in the log-spaced path. A
+/// constant series (all samples equal) is [`EstimatorError::ZeroVariance`].
 pub fn try_variance_time_estimate_with_sizes(
     x: &[f64],
     sizes: &[usize],
@@ -58,38 +47,74 @@ pub fn try_variance_time_estimate_with_sizes(
     if sizes.is_empty() {
         return Err(EstimatorError::NoUsableScales { estimator: ESTIMATOR });
     }
-    let mut points = Vec::with_capacity(sizes.len());
-    for &m in sizes {
-        let agg = aggregate(x, m);
-        if agg.len() < 2 {
-            continue;
-        }
-        let v = variance(&agg);
-        if v > 0.0 {
-            points.push(((m as f64).ln(), v.ln()));
-        }
-    }
-    fit_points(points)
-}
-
-/// Regresses pre-accumulated `(ln m, ln Var[X^{(m)}])` points. Exposed
-/// to the streaming backend so its incrementally maintained per-level
-/// variances go through the identical final fit.
-pub(crate) fn fit_points(points: Vec<(f64, f64)>) -> Result<HurstEstimate, EstimatorError> {
-    if points.len() < 2 {
-        return Err(EstimatorError::TooFewPoints {
+    if is_constant(x) {
+        return Err(EstimatorError::ZeroVariance {
             estimator: ESTIMATOR,
-            got: points.len(),
         });
     }
-    let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
-    let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
-    let fit = linear_fit(&xs, &ys);
-    Ok(HurstEstimate {
-        h: 1.0 + fit.slope / 2.0,
-        fit,
-        points,
-    })
+    let mut levels: Vec<VtLevel> = sizes.iter().map(|&m| VtLevel::new(m)).collect();
+    for &v in x {
+        levels.iter_mut().for_each(|level| level.push(v));
+    }
+    fit_levels(&levels)
+}
+
+/// One aggregation level's accumulator: the running sum of the block in
+/// progress plus a Welford summary of the completed block means. The
+/// batch path and [`crate::OnePassVt`] both feed it sample by sample,
+/// so both see the same block means and the same variance bits.
+#[derive(Debug, Clone)]
+pub(crate) struct VtLevel {
+    pub(crate) size: usize,
+    cur_sum: f64,
+    cur_n: usize,
+    blocks: u64,
+    mean: f64,
+    m2: f64,
+}
+
+impl VtLevel {
+    pub(crate) fn new(size: usize) -> Self {
+        assert!(size >= 1);
+        VtLevel {
+            size,
+            cur_sum: 0.0,
+            cur_n: 0,
+            blocks: 0,
+            mean: 0.0,
+            m2: 0.0,
+        }
+    }
+
+    /// Absorbs one sample, folding the block mean in when it completes.
+    pub(crate) fn push(&mut self, v: f64) {
+        self.cur_sum += v;
+        self.cur_n += 1;
+        if self.cur_n == self.size {
+            let block_mean = self.cur_sum / self.size as f64;
+            self.cur_sum = 0.0;
+            self.cur_n = 0;
+            self.blocks += 1;
+            let delta = block_mean - self.mean;
+            self.mean += delta / self.blocks as f64;
+            self.m2 += delta * (block_mean - self.mean);
+        }
+    }
+}
+
+/// Regresses `ln Var[X^{(m)}]` on `ln m` over the levels with at least
+/// two blocks and positive variance.
+pub(crate) fn fit_levels<'a>(
+    levels: impl IntoIterator<Item = &'a VtLevel>,
+) -> Result<HurstEstimate, EstimatorError> {
+    let points: Vec<(f64, f64)> = levels
+        .into_iter()
+        .filter(|l| l.blocks >= 2)
+        .map(|l| (l.size as f64, l.m2 / l.blocks as f64))
+        .filter(|&(_, v)| v > 0.0)
+        .map(|(m, v)| (m.ln(), v.ln()))
+        .collect();
+    fit_points(ESTIMATOR, points, |slope| 1.0 + slope / 2.0)
 }
 
 /// Non-overlapping block means at aggregation level `m`.
@@ -103,6 +128,7 @@ pub fn aggregate(x: &[f64], m: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::descriptive::variance;
 
     #[test]
     fn aggregate_means() {
@@ -181,10 +207,15 @@ mod tests {
             try_variance_time_estimate(&[1.0; 10]),
             Err(EstimatorError::TooFewSamples { needed: 64, got: 10, .. })
         ));
-        assert!(matches!(
-            try_variance_time_estimate(&[1.0; 128]),
-            Err(EstimatorError::ZeroVariance { .. })
-        ));
+        for v in [1.0, 0.1, 12.7] {
+            assert!(
+                matches!(
+                    try_variance_time_estimate(&[v; 128]),
+                    Err(EstimatorError::ZeroVariance { .. })
+                ),
+                "constant series at {v}"
+            );
+        }
         assert!(matches!(
             try_variance_time_estimate_with_sizes(&[1.0; 128], &[]),
             Err(EstimatorError::NoUsableScales { .. })

@@ -8,40 +8,27 @@
 //! cites (Abry & Veitch, ref. [1]) restricted to the Haar wavelet,
 //! which is exact enough for cross-checking synthetic traces.
 
-use super::HurstEstimate;
+use super::{fit_points, require_samples, HurstEstimate};
 use crate::error::EstimatorError;
-use crate::regression::linear_fit;
 
 const ESTIMATOR: &str = "wavelet estimator";
 
+/// Octave cap of the estimator's pyramid.
+const MAX_OCTAVES: usize = 24;
+/// Minimum detail coefficients per usable octave.
+const MIN_COEFFS: usize = 8;
+
 /// Per-octave Haar detail energies `μ_j` for `j = 1..=octaves`,
-/// starting from the finest scale.
+/// starting from the finest scale: a fold of `x` through the Haar
+/// pyramid ([`OnePassWavelet`]).
 ///
 /// The input is truncated to the largest usable power-of-two prefix of
 /// each level; levels with fewer than `min_coeffs` detail coefficients
 /// are dropped.
 pub fn haar_energies(x: &[f64], max_octaves: usize, min_coeffs: usize) -> Vec<(usize, f64)> {
-    let mut approx: Vec<f64> = x.to_vec();
-    let mut out = Vec::new();
-    let sqrt2 = std::f64::consts::SQRT_2;
-    for j in 1..=max_octaves {
-        if approx.len() < 2 * min_coeffs.max(1) {
-            break;
-        }
-        let pairs = approx.len() / 2;
-        let mut next = Vec::with_capacity(pairs);
-        let mut energy = 0.0;
-        for k in 0..pairs {
-            let a = approx[2 * k];
-            let b = approx[2 * k + 1];
-            next.push((a + b) / sqrt2);
-            let d = (a - b) / sqrt2;
-            energy += d * d;
-        }
-        out.push((j, energy / pairs as f64));
-        approx = next;
-    }
-    out
+    let mut pyramid = OnePassWavelet::with_max_octaves(max_octaves);
+    x.iter().for_each(|&v| pyramid.push(v));
+    pyramid.energies_with(min_coeffs)
 }
 
 /// Estimates the Hurst parameter from the Haar wavelet energy slope.
@@ -59,48 +46,121 @@ pub fn wavelet_estimate(x: &[f64]) -> HurstEstimate {
 /// where fewer than two octaves retain positive detail energy (a
 /// constant series has zero energy at every octave).
 pub fn try_wavelet_estimate(x: &[f64]) -> Result<HurstEstimate, EstimatorError> {
-    if x.len() < 128 {
-        return Err(EstimatorError::TooFewSamples {
-            estimator: ESTIMATOR,
-            needed: 128,
-            got: x.len(),
-        });
-    }
-    try_wavelet_estimate_from_energies(&haar_energies(x, 24, 8))
+    let mut pyramid = OnePassWavelet::new();
+    x.iter().for_each(|&v| pyramid.push(v));
+    pyramid.estimate()
 }
 
-/// The regression stage of [`try_wavelet_estimate`], taking precomputed
-/// per-octave energies. Exposed so the one-pass streaming pyramid can
-/// go through the identical final fit.
-pub(crate) fn try_wavelet_estimate_from_energies(
-    energies: &[(usize, f64)],
-) -> Result<HurstEstimate, EstimatorError> {
-    if energies.len() < 3 {
-        return Err(EstimatorError::TooFewOctaves {
-            estimator: ESTIMATOR,
-            needed: 3,
-            got: energies.len(),
-        });
+/// One octave of the Haar pyramid.
+#[derive(Debug, Clone)]
+struct Octave {
+    /// The unpaired approximation coefficient, when the octave has
+    /// received an odd number of them.
+    pending: f64,
+    /// Sum of squared detail coefficients, in pair order.
+    energy: f64,
+}
+
+/// The Haar pyramid: a one-pass wavelet energy accumulator fed one
+/// sample at a time, with one pending coefficient per octave
+/// (O(24) state). Octave `j` has received `count >> j` approximation
+/// coefficients and pairs them left to right, so a series folded
+/// through it yields the same energies at every prefix length whether
+/// it arrives at once ([`try_wavelet_estimate`], [`haar_energies`]) or
+/// as a stream.
+#[derive(Debug, Clone)]
+pub struct OnePassWavelet {
+    octaves: Vec<Octave>,
+    max_octaves: usize,
+    count: u64,
+}
+
+impl OnePassWavelet {
+    /// An empty pyramid with the estimator's 24-octave cap.
+    pub fn new() -> Self {
+        OnePassWavelet::with_max_octaves(MAX_OCTAVES)
     }
-    let points: Vec<(f64, f64)> = energies
-        .iter()
-        .filter(|(_, e)| *e > 0.0)
-        .map(|&(j, e)| (j as f64, e.log2()))
-        .collect();
-    if points.len() < 2 {
-        return Err(EstimatorError::TooFewPoints {
-            estimator: ESTIMATOR,
-            got: points.len(),
-        });
+
+    pub(crate) fn with_max_octaves(max_octaves: usize) -> Self {
+        OnePassWavelet {
+            octaves: Vec::new(),
+            max_octaves,
+            count: 0,
+        }
     }
-    let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
-    let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
-    let fit = linear_fit(&xs, &ys);
-    Ok(HurstEstimate {
-        h: (fit.slope + 1.0) / 2.0,
-        fit,
-        points,
-    })
+
+    /// Samples absorbed so far.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Absorbs one sample, cascading completed pairs up the pyramid:
+    /// every octave holding a pending coefficient (the trailing one
+    /// bits of the count) closes a pair, and the next octave up keeps
+    /// the carried approximation.
+    pub fn push(&mut self, v: f64) {
+        let sqrt2 = std::f64::consts::SQRT_2;
+        let depth = (self.count.trailing_ones() as usize).min(self.max_octaves);
+        self.count += 1;
+        let mut carry = v;
+        for octave in &mut self.octaves[..depth] {
+            let d = (octave.pending - carry) / sqrt2;
+            octave.energy += d * d;
+            carry = (octave.pending + carry) / sqrt2;
+        }
+        match self.octaves.get_mut(depth) {
+            Some(octave) => octave.pending = carry,
+            None if depth < self.max_octaves => self.octaves.push(Octave {
+                pending: carry,
+                energy: 0.0,
+            }),
+            None => {}
+        }
+    }
+
+    /// Per-octave mean detail energies, identical to
+    /// `haar_energies(prefix, 24, 8)`.
+    pub fn energies(&self) -> Vec<(usize, f64)> {
+        self.energies_with(MIN_COEFFS)
+    }
+
+    /// Mean detail energy per octave, finest first, stopping at the
+    /// first octave fed fewer than `2 * min_coeffs` coefficients.
+    fn energies_with(&self, min_coeffs: usize) -> Vec<(usize, f64)> {
+        let needed = 2 * min_coeffs.max(1) as u64;
+        self.octaves
+            .iter()
+            .enumerate()
+            .take_while(|&(j, _)| self.count >> j >= needed)
+            .map(|(j, o)| (j + 1, o.energy / (self.count >> (j + 1)) as f64))
+            .collect()
+    }
+
+    /// The wavelet estimate over the full stream so far; bit-equal to
+    /// `try_wavelet_estimate(prefix)`.
+    pub fn estimate(&self) -> Result<HurstEstimate, EstimatorError> {
+        require_samples(ESTIMATOR, 128, self.count as usize)?;
+        let energies = self.energies();
+        if energies.len() < 3 {
+            return Err(EstimatorError::TooFewOctaves {
+                estimator: ESTIMATOR,
+                needed: 3,
+                got: energies.len(),
+            });
+        }
+        let points: Vec<(f64, f64)> = energies
+            .iter()
+            .filter(|(_, e)| *e > 0.0)
+            .map(|&(j, e)| (j as f64, e.log2()))
+            .collect();
+        fit_points(ESTIMATOR, points, |slope| (slope + 1.0) / 2.0)
+    }
+}
+
+impl Default for OnePassWavelet {
+    fn default() -> Self {
+        OnePassWavelet::new()
+    }
 }
 
 #[cfg(test)]

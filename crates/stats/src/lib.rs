@@ -13,10 +13,13 @@
 //!
 //! This crate provides all of those building blocks plus the generic
 //! machinery they rest on: descriptive statistics, FFT-accelerated
-//! autocovariance, ordinary least squares on log-log plots, and four
+//! autocovariance, ordinary least squares on log-log plots, and five
 //! independent Hurst estimators (rescaled-range, variance–time,
-//! log-periodogram/GPH, and Haar-wavelet energy slopes) that can be
-//! cross-checked against each other.
+//! log-periodogram/GPH, Haar-wavelet energy slopes and local Whittle)
+//! that can be cross-checked against each other. R/S, variance–time
+//! and wavelet also run grow-only ([`onepass`]) and over a sliding
+//! window ([`streaming`]) by driving the same per-scale accumulators
+//! as the batch functions.
 
 #![warn(missing_docs)]
 

@@ -8,26 +8,24 @@
 //! and hold **bounded** state regardless of stream length:
 //!
 //! * [`OnePassRs`] — per-dyadic-block-size R/S averages. Block sizes
-//!   are capped at [`MAX_ONEPASS_BLOCK`]; a shared ring of the most
-//!   recent `MAX_ONEPASS_BLOCK` samples lets each completed block be
-//!   rescored with the *identical* two-pass `rescaled_range` code the
-//!   batch path uses, so the estimate is bit-equal to
-//!   [`try_rs_estimate_with_sizes`](crate::hurst::try_rs_estimate_with_sizes)
-//!   on the same prefix and the same (capped) dyadic sizes.
-//! * [`OnePassVt`] — hierarchical block aggregators: each dyadic level
-//!   keeps a left-to-right running block sum plus a Welford summary of
-//!   completed block means. Block means are bit-equal to the batch
-//!   aggregation; the per-level *variance* is Welford rather than
-//!   two-pass, so the final estimate agrees with the batch path to
-//!   floating-point accumulation error (pinned by test at `1e-6`),
-//!   not bit-for-bit — the price of O(levels) state on an unbounded
-//!   stream.
-//! * [`OnePassWavelet`] — a Haar pyramid with one pending coefficient
-//!   per octave (O(24) state). Every detail energy is accumulated in
-//!   the same pair order as [`haar_energies`](crate::hurst::haar_energies),
-//!   so the estimate is bit-equal to
-//!   [`try_wavelet_estimate`](crate::hurst::try_wavelet_estimate) on
-//!   the same prefix at **every** prefix length.
+//!   are capped at [`MAX_ONEPASS_BLOCK`]; a ring of the most recent
+//!   `MAX_ONEPASS_BLOCK` samples holds every completing block
+//!   contiguously, and each is scored by the same per-scale
+//!   accumulator the batch path folds `chunks_exact` blocks into.
+//! * [`OnePassVt`] — one Welford level accumulator per dyadic
+//!   aggregation level, the same accumulator batch variance–time runs.
+//! * [`OnePassWavelet`] — the Haar pyramid itself, with one pending
+//!   coefficient per octave (O(24) state);
+//!   [`haar_energies`](crate::hurst::haar_energies) and the batch
+//!   wavelet estimator fold a slice through it.
+//!
+//! Sharing the accumulators makes each estimate bit-equal to its batch
+//! counterpart on the same prefix by construction:
+//! [`try_rs_estimate_with_sizes`](crate::hurst::try_rs_estimate_with_sizes)
+//! and
+//! [`try_variance_time_estimate_with_sizes`](crate::hurst::try_variance_time_estimate_with_sizes)
+//! over the (capped) dyadic sizes below, and
+//! [`try_wavelet_estimate`](crate::hurst::try_wavelet_estimate).
 //!
 //! [`OnePassHurst`] bundles all three with a running [`Summary`] for
 //! the callers (the trace CLI, the trace-driven figures) that want one
@@ -36,16 +34,18 @@
 use crate::descriptive::Summary;
 use crate::error::EstimatorError;
 use crate::hurst::{
-    dyadic_sizes, rescaled_range, rs_fit_points, try_wavelet_estimate_from_energies,
-    vt_fit_points, HurstEstimate,
+    dyadic_sizes, pooled, require_samples, rs_fit_scales, vt_fit_levels, HurstEstimate,
+    RsScale, VtLevel,
 };
+pub use crate::hurst::wavelet::OnePassWavelet;
 
 /// Largest analysis block (samples) the one-pass estimators maintain.
 ///
 /// This caps both the R/S ring and the deepest VT aggregation level:
-/// state is ~`2 * MAX_ONEPASS_BLOCK` f64s (≈1 MiB) no matter how long
-/// the stream runs. Scales beyond it contribute nothing — exactly as
-/// if the batch estimators were called with the same capped size list.
+/// state is at most ~`MAX_ONEPASS_BLOCK` f64s (512 KiB) no matter how
+/// long the stream runs. Scales beyond it contribute nothing — exactly
+/// as if the batch estimators were called with the same capped size
+/// list.
 pub const MAX_ONEPASS_BLOCK: usize = 1 << 16;
 
 /// Dyadic R/S block sizes the one-pass estimator regresses over for a
@@ -74,24 +74,16 @@ pub fn onepass_vt_sizes(len: usize, max_block: usize) -> Vec<usize> {
     }
 }
 
-/// Per-size R/S accumulator state.
-#[derive(Debug, Clone)]
-struct RsLevel {
-    size: u64,
-    /// Sum of R/S statistics over completed non-constant blocks, in
-    /// completion (= batch chunk) order.
-    acc: f64,
-    blocks: u64,
-}
-
 /// One-pass rescaled-range analysis over dyadic block sizes.
 #[derive(Debug, Clone)]
 pub struct OnePassRs {
-    /// The most recent `max_block` samples; a block of size `s` is
-    /// always fully resident when it completes because `s <= max_block`.
+    /// The most recent `max_block` samples (grown on demand, so a
+    /// short stream touches only what it fills). Every block size
+    /// divides `max_block` and blocks are aligned to their size, so a
+    /// completing block is always one contiguous ring slice.
     ring: Vec<f64>,
-    scratch: Vec<f64>,
-    levels: Vec<RsLevel>,
+    max_block: usize,
+    scales: Vec<RsScale>,
     count: u64,
 }
 
@@ -109,15 +101,11 @@ impl OnePassRs {
             "max block must be a power of two >= 8"
         );
         OnePassRs {
-            ring: vec![0.0; max_block],
-            scratch: Vec::with_capacity(max_block),
-            levels: dyadic_sizes(8, max_block)
+            ring: Vec::new(),
+            max_block,
+            scales: dyadic_sizes(8, max_block)
                 .into_iter()
-                .map(|size| RsLevel {
-                    size: size as u64,
-                    acc: 0.0,
-                    blocks: 0,
-                })
+                .map(RsScale::new)
                 .collect(),
             count: 0,
         }
@@ -130,29 +118,16 @@ impl OnePassRs {
 
     /// Absorbs one sample, scoring every block it completes.
     pub fn push(&mut self, v: f64) {
-        let cap = self.ring.len() as u64;
-        self.ring[(self.count % cap) as usize] = v;
+        let end = (self.count % self.max_block as u64) as usize + 1;
+        if end > self.ring.len() {
+            self.ring.push(v);
+        } else {
+            self.ring[end - 1] = v;
+        }
         self.count += 1;
-        let OnePassRs {
-            ring,
-            scratch,
-            levels,
-            count,
-        } = self;
-        for lvl in levels.iter_mut() {
-            if *count % lvl.size != 0 {
-                continue;
-            }
-            // The completed block occupies absolute indices
-            // [count - size, count), all within the ring's span
-            // [count - cap, count). Copy it out in logical order so
-            // `rescaled_range` runs over the exact sample sequence the
-            // batch path would chunk.
-            scratch.clear();
-            scratch.extend((*count - lvl.size..*count).map(|i| ring[(i % cap) as usize]));
-            if let Some(rs) = rescaled_range(scratch) {
-                lvl.acc += rs;
-                lvl.blocks += 1;
+        for scale in &mut self.scales {
+            if end.is_multiple_of(scale.size) {
+                scale.score(&self.ring[end - scale.size..end]);
             }
         }
     }
@@ -160,25 +135,9 @@ impl OnePassRs {
     /// The R/S estimate over the full stream so far; bit-equal to
     /// `try_rs_estimate_with_sizes(prefix, onepass_rs_sizes(len, max_block))`.
     pub fn estimate(&self) -> Result<HurstEstimate, EstimatorError> {
-        let len = self.count as usize;
-        if len < 64 {
-            return Err(EstimatorError::TooFewSamples {
-                estimator: "R/S analysis",
-                needed: 64,
-                got: len,
-            });
-        }
-        let hi = (self.count / 4).min(self.ring.len() as u64);
-        let mut points = Vec::new();
-        for lvl in &self.levels {
-            if lvl.size > hi {
-                break;
-            }
-            if lvl.blocks > 0 {
-                points.push(((lvl.size as f64).ln(), (lvl.acc / lvl.blocks as f64).ln()));
-            }
-        }
-        rs_fit_points(points)
+        require_samples("R/S analysis", 64, self.count as usize)?;
+        let hi = self.count as usize / 4;
+        rs_fit_scales(self.scales.iter().take_while(|s| s.size <= hi))
     }
 }
 
@@ -188,40 +147,16 @@ impl Default for OnePassRs {
     }
 }
 
-/// Per-level VT aggregator: the in-progress block sum plus a Welford
-/// summary of completed block means.
-#[derive(Debug, Clone)]
-struct VtLevel {
-    size: u64,
-    cur_sum: f64,
-    cur_n: u64,
-    blocks: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl VtLevel {
-    fn complete(&mut self) {
-        let block_mean = self.cur_sum / self.size as f64;
-        self.cur_sum = 0.0;
-        self.cur_n = 0;
-        self.blocks += 1;
-        let delta = block_mean - self.mean;
-        self.mean += delta / self.blocks as f64;
-        self.m2 += delta * (block_mean - self.mean);
-    }
-
-    fn variance(&self) -> f64 {
-        self.m2 / self.blocks as f64
-    }
-}
-
 /// One-pass variance–time analysis over dyadic aggregation levels
 /// (hierarchy of running block sums — O(levels) state).
 #[derive(Debug, Clone)]
 pub struct OnePassVt {
     levels: Vec<VtLevel>,
     count: u64,
+    first: f64,
+    /// Whether any sample differed from the first (the exact constancy
+    /// rule the batch path applies to its slice).
+    varied: bool,
 }
 
 impl OnePassVt {
@@ -237,16 +172,11 @@ impl OnePassVt {
         OnePassVt {
             levels: dyadic_sizes(1, max_block)
                 .into_iter()
-                .map(|size| VtLevel {
-                    size: size as u64,
-                    cur_sum: 0.0,
-                    cur_n: 0,
-                    blocks: 0,
-                    mean: 0.0,
-                    m2: 0.0,
-                })
+                .map(VtLevel::new)
                 .collect(),
             count: 0,
+            first: 0.0,
+            varied: false,
         }
     }
 
@@ -257,147 +187,32 @@ impl OnePassVt {
 
     /// Absorbs one sample into every aggregation level.
     pub fn push(&mut self, v: f64) {
-        self.count += 1;
-        for lvl in &mut self.levels {
-            lvl.cur_sum += v;
-            lvl.cur_n += 1;
-            if lvl.cur_n == lvl.size {
-                lvl.complete();
-            }
+        if self.count == 0 {
+            self.first = v;
         }
+        self.varied |= v != self.first;
+        self.count += 1;
+        self.levels.iter_mut().for_each(|level| level.push(v));
     }
 
-    /// The variance–time estimate over the full stream so far; agrees
-    /// with `try_variance_time_estimate_with_sizes(prefix,
-    /// onepass_vt_sizes(len, max_block))` to Welford-vs-two-pass
-    /// accumulation error (block means are bit-equal; variances are
-    /// not).
+    /// The variance–time estimate over the full stream so far;
+    /// bit-equal to `try_variance_time_estimate_with_sizes(prefix,
+    /// onepass_vt_sizes(len, max_block))`.
     pub fn estimate(&self) -> Result<HurstEstimate, EstimatorError> {
-        let len = self.count as usize;
-        if len < 64 {
-            return Err(EstimatorError::TooFewSamples {
-                estimator: "variance-time",
-                needed: 64,
-                got: len,
-            });
-        }
-        if self.levels[0].variance() <= 0.0 {
+        require_samples("variance-time", 64, self.count as usize)?;
+        if !self.varied {
             return Err(EstimatorError::ZeroVariance {
                 estimator: "variance-time",
             });
         }
-        let hi = self.count / 8;
-        let mut points = Vec::new();
-        for lvl in &self.levels {
-            if lvl.size > hi {
-                break;
-            }
-            if lvl.blocks < 2 {
-                continue;
-            }
-            let v = lvl.variance();
-            if v > 0.0 {
-                points.push(((lvl.size as f64).ln(), v.ln()));
-            }
-        }
-        vt_fit_points(points)
+        let hi = self.count as usize / 8;
+        vt_fit_levels(self.levels.iter().take_while(|l| l.size <= hi))
     }
 }
 
 impl Default for OnePassVt {
     fn default() -> Self {
         OnePassVt::new()
-    }
-}
-
-/// Octave cap mirroring the batch `haar_energies(x, 24, 8)` call.
-const MAX_OCTAVES: usize = 24;
-/// Minimum detail coefficients per usable octave (batch `min_coeffs`).
-const MIN_COEFFS: u64 = 8;
-
-/// One octave of the streaming Haar pyramid.
-#[derive(Debug, Clone, Default)]
-struct WavLevel {
-    /// The unpaired approximation coefficient, if any.
-    pending: Option<f64>,
-    /// Sum of squared detail coefficients, in pair order.
-    energy: f64,
-    pairs: u64,
-    /// Approximation coefficients fed into this octave — the batch
-    /// `approx.len()` when it reaches this level.
-    received: u64,
-}
-
-/// One-pass Haar-wavelet energy accumulator, bit-equal to the batch
-/// estimator at every prefix length.
-#[derive(Debug, Clone, Default)]
-pub struct OnePassWavelet {
-    levels: Vec<WavLevel>,
-    count: u64,
-}
-
-impl OnePassWavelet {
-    /// An empty pyramid.
-    pub fn new() -> Self {
-        OnePassWavelet::default()
-    }
-
-    /// Samples absorbed so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Absorbs one sample, cascading completed pairs up the pyramid.
-    pub fn push(&mut self, v: f64) {
-        self.count += 1;
-        let sqrt2 = std::f64::consts::SQRT_2;
-        let mut carry = v;
-        let mut j = 0;
-        while j < MAX_OCTAVES {
-            if self.levels.len() <= j {
-                self.levels.push(WavLevel::default());
-            }
-            let lvl = &mut self.levels[j];
-            lvl.received += 1;
-            match lvl.pending.take() {
-                None => {
-                    lvl.pending = Some(carry);
-                    return;
-                }
-                Some(a) => {
-                    let d = (a - carry) / sqrt2;
-                    lvl.energy += d * d;
-                    lvl.pairs += 1;
-                    carry = (a + carry) / sqrt2;
-                    j += 1;
-                }
-            }
-        }
-    }
-
-    /// Per-octave mean detail energies, identical to
-    /// `haar_energies(prefix, 24, 8)`.
-    pub fn energies(&self) -> Vec<(usize, f64)> {
-        self.levels
-            .iter()
-            .enumerate()
-            .take_while(|(_, l)| l.received >= 2 * MIN_COEFFS)
-            .map(|(i, l)| (i + 1, l.energy / l.pairs as f64))
-            .collect()
-    }
-
-    /// The wavelet estimate over the full stream so far; bit-equal to
-    /// `try_wavelet_estimate(prefix)`.
-    pub fn estimate(&self) -> Result<HurstEstimate, EstimatorError> {
-        let len = self.count as usize;
-        if len < 128 {
-            return Err(EstimatorError::TooFewSamples {
-                estimator: "wavelet estimator",
-                needed: 128,
-                got: len,
-            });
-        }
-        try_wavelet_estimate_from_energies(&self.energies())
     }
 }
 
@@ -459,16 +274,12 @@ impl OnePassHurst {
     /// currently succeed; `None` if all of them fail (short or
     /// degenerate stream).
     pub fn pooled(&self) -> Option<f64> {
-        let estimates: Vec<f64> = [self.rs_estimate(), self.variance_time_estimate(), self.wavelet_estimate()]
-            .into_iter()
-            .flatten()
-            .map(|e| e.clamped())
-            .collect();
-        if estimates.is_empty() {
-            None
-        } else {
-            Some(estimates.iter().sum::<f64>() / estimates.len() as f64)
-        }
+        let estimates = [
+            self.rs_estimate(),
+            self.variance_time_estimate(),
+            self.wavelet_estimate(),
+        ];
+        pooled(estimates.iter().flatten())
     }
 }
 
@@ -509,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn vt_matches_the_batch_path_to_accumulation_error() {
+    fn vt_is_bit_equal_to_the_capped_batch_path() {
         for &(n, max_block) in &[(5000, 64), (70_000, 1 << 16)] {
             let x = noise(n, 200 + max_block as u64);
             let mut op = OnePassVt::with_max_block(max_block);
@@ -521,8 +332,9 @@ mod tests {
                 try_variance_time_estimate_with_sizes(&x, &onepass_vt_sizes(n, max_block))
                     .unwrap();
             assert_eq!(stream.points.len(), batch.points.len());
-            assert!(
-                (stream.h - batch.h).abs() < 1e-6,
+            assert_eq!(
+                stream.h.to_bits(),
+                batch.h.to_bits(),
                 "one-pass VT {} vs batch {}",
                 stream.h,
                 batch.h
@@ -553,33 +365,38 @@ mod tests {
 
     #[test]
     fn degenerate_streams_are_typed_errors_not_panics() {
-        let mut all = OnePassHurst::new();
-        assert!(matches!(
-            all.rs_estimate(),
-            Err(EstimatorError::TooFewSamples { .. })
-        ));
-        for _ in 0..10_000 {
-            all.push(3.25);
+        for c in [3.25, 0.1, 12.7] {
+            let mut all = OnePassHurst::new();
+            assert!(matches!(
+                all.rs_estimate(),
+                Err(EstimatorError::TooFewSamples { .. })
+            ));
+            for _ in 0..10_000 {
+                all.push(c);
+            }
+            // Constant stream: every estimator fails, none panics.
+            assert!(all.rs_estimate().is_err(), "R/S estimated a constant {c}");
+            assert!(matches!(
+                all.variance_time_estimate(),
+                Err(EstimatorError::ZeroVariance { .. })
+            ));
+            assert!(
+                all.wavelet_estimate().is_err(),
+                "wavelet estimated a constant {c}"
+            );
+            assert!(all.pooled().is_none());
+            // Variability arriving later unlocks the estimates.
+            let x = noise(60_000, 400);
+            for &v in &x {
+                all.push(v);
+            }
+            assert!(all.rs_estimate().is_ok());
+            assert!(all.variance_time_estimate().is_ok());
+            assert!(all.wavelet_estimate().is_ok());
+            let pooled = all.pooled().unwrap();
+            assert!((0.0..=1.0).contains(&pooled));
+            assert_eq!(all.count(), 70_000);
         }
-        // Constant stream: every estimator fails, none panics.
-        assert!(all.rs_estimate().is_err());
-        assert!(matches!(
-            all.variance_time_estimate(),
-            Err(EstimatorError::ZeroVariance { .. })
-        ));
-        assert!(all.wavelet_estimate().is_err());
-        assert!(all.pooled().is_none());
-        // Variability arriving later unlocks the estimates.
-        let x = noise(60_000, 400);
-        for &v in &x {
-            all.push(v);
-        }
-        assert!(all.rs_estimate().is_ok());
-        assert!(all.variance_time_estimate().is_ok());
-        assert!(all.wavelet_estimate().is_ok());
-        let pooled = all.pooled().unwrap();
-        assert!((0.0..=1.0).contains(&pooled));
-        assert_eq!(all.count(), 70_000);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Run-length analysis of quantized series.
 //!
 //! The paper calibrates the truncated-Pareto scale `θ` by "first
-//! comput[ing] the average number of consecutive samples in the trace
+//! comput\[ing\] the average number of consecutive samples in the trace
 //! that fall within the same histogram bin" (Sec. III) — the **mean
 //! epoch duration** — and then matching the model's mean interval
 //! length (Eq. 25) to it.

@@ -1,6 +1,5 @@
 //! Sliding-window statistics for live traffic: a fixed-capacity ring
-//! of recent rate samples and incrementally maintained streaming Hurst
-//! estimates over it.
+//! of recent rate samples and streaming Hurst estimates over it.
 //!
 //! The online loss-bound service (`lrd-serve`) watches each flow
 //! through these types: the window supplies the recent marginal, and
@@ -9,18 +8,12 @@
 //! of the cached estimate is bounded by construction (the property the
 //! daemon's bounded-staleness contract leans on).
 //!
-//! # The incremental backend
-//!
-//! Estimates regress over **dyadic** block sizes (`8..=W/4` for R/S,
-//! `1..=W/8` for variance–time) and are pinned bit-equal to the batch
-//! [`try_rs_estimate_with_sizes`] / [`try_variance_time_estimate_with_sizes`]
-//! of the same full window. Each size keeps a deque of per-block
-//! statistics tiled from the window start; when the window has advanced
-//! by a multiple of a block size since the last refresh, that size
-//! drops the evicted blocks from the front and scores only the newly
-//! arrived blocks — no `snapshot()` allocation and, at an aligned
-//! cadence, no `O(W log W)` recompute. Sizes the advance doesn't align
-//! with fall back to retiling that size from the ring.
+//! A refresh copies the window into a reused scratch buffer and runs
+//! the batch [`try_rs_estimate_with_sizes`] and
+//! [`try_variance_time_estimate_with_sizes`] over it, at dyadic block
+//! sizes (`8..=W/4` for R/S, `1..=W/8` for variance–time): streaming is
+//! batch on a window copy, so the two agree bit for bit by
+//! construction.
 //!
 //! # Failure policy
 //!
@@ -31,12 +24,10 @@
 //! running) and retries no sooner than one cadence later, which is what
 //! lets a long-running daemon survive a pathological flow.
 
-use std::collections::VecDeque;
-
-use crate::descriptive::variance;
 use crate::error::EstimatorError;
 use crate::hurst::{
-    dyadic_sizes, rescaled_range, rs_fit_points, vt_fit_points, HurstEstimate,
+    dyadic_sizes, pooled, try_rs_estimate_with_sizes, try_variance_time_estimate_with_sizes,
+    HurstEstimate,
 };
 
 /// Fixed-capacity ring buffer over the most recent `capacity` samples.
@@ -118,8 +109,8 @@ impl SlidingWindow {
     /// Iterates the held samples, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
         let cap = self.buf.len();
-        let start = (self.head + cap - self.len) % cap;
-        (0..self.len).map(move |i| self.buf[(start + i) % cap])
+        let (wrapped, oldest) = self.buf.split_at((self.head + cap - self.len) % cap);
+        oldest.iter().chain(wrapped).take(self.len).copied()
     }
 }
 
@@ -136,23 +127,12 @@ impl HurstPair {
     /// The two clamped point estimates averaged — the robust summary
     /// a consumer that wants one number should read.
     pub fn pooled(&self) -> f64 {
-        0.5 * (self.rs.clamped() + self.vt.clamped())
+        pooled([&self.rs, &self.vt]).expect("a pair holds two estimates")
     }
 }
 
 /// Minimum window the estimators accept.
 pub const MIN_HURST_WINDOW: usize = 64;
-
-/// Per-block-size tile row: block statistics for the current window,
-/// tiled from the window start, oldest block first.
-#[derive(Debug, Clone)]
-struct TileRow {
-    size: usize,
-    /// R/S rows: `Some(rs)` per non-constant block, `None` sentinel for
-    /// constant blocks (matching the batch path's skipped blocks).
-    /// VT rows: block means wrapped in `Some` (never `None`).
-    blocks: VecDeque<Option<f64>>,
-}
 
 /// A sliding-window Hurst estimator with bounded estimate staleness.
 ///
@@ -161,8 +141,8 @@ struct TileRow {
 /// every `refresh_every` pushes and served from cache in between. The
 /// invariant tests pin: after any push sequence,
 /// [`staleness`](Self::staleness) < `refresh_every` whenever an
-/// estimate exists, and a refreshed estimate is bit-equal to the batch
-/// dyadic-size estimators applied to a snapshot of the same window.
+/// estimate exists. A refreshed estimate *is* the batch dyadic-size
+/// estimators applied to a copy of the window.
 #[derive(Debug, Clone)]
 pub struct StreamingHurst {
     window: SlidingWindow,
@@ -170,17 +150,14 @@ pub struct StreamingHurst {
     /// Pushes since the cached estimate was computed.
     since: usize,
     cached: Option<HurstPair>,
-    /// Total pushes ever absorbed (the absolute index clock the tiling
-    /// is anchored to).
+    /// Total pushes ever absorbed.
     total: u64,
     /// Don't attempt another refresh before this push count — bounds
     /// the cost of repeated estimator failures on pathological streams.
     skip_until: u64,
-    /// Absolute index of the window start the tiles describe, if they
-    /// have been built.
-    tiles_at: Option<u64>,
-    rs_rows: Vec<TileRow>,
-    vt_rows: Vec<TileRow>,
+    rs_sizes: Vec<usize>,
+    vt_sizes: Vec<usize>,
+    /// The window copy a refresh estimates from.
     scratch: Vec<f64>,
 }
 
@@ -198,10 +175,6 @@ impl StreamingHurst {
             "Hurst window must hold at least {MIN_HURST_WINDOW} samples"
         );
         assert!(refresh_every > 0, "refresh cadence must be positive");
-        let row = |size: usize| TileRow {
-            size,
-            blocks: VecDeque::with_capacity(window / size),
-        };
         Self {
             window: SlidingWindow::new(window),
             refresh_every,
@@ -209,10 +182,9 @@ impl StreamingHurst {
             cached: None,
             total: 0,
             skip_until: 0,
-            tiles_at: None,
-            rs_rows: dyadic_sizes(8, window / 4).into_iter().map(row).collect(),
-            vt_rows: dyadic_sizes(1, window / 8).into_iter().map(row).collect(),
-            scratch: Vec::with_capacity(window / 4),
+            rs_sizes: dyadic_sizes(8, window / 4),
+            vt_sizes: dyadic_sizes(1, window / 8),
+            scratch: Vec::with_capacity(window),
         }
     }
 
@@ -239,78 +211,14 @@ impl StreamingHurst {
         }
     }
 
-    /// Recomputes both estimates over the (full) window, maintaining
-    /// the per-size tile rows incrementally.
+    /// Recomputes both estimates over a copy of the (full) window.
     fn try_refresh(&mut self) -> Result<HurstPair, EstimatorError> {
-        // A constant window has no scaling behaviour to estimate; the
-        // gate is O(W) and mirrors the batch variance-time precondition
-        // (left-to-right two-pass, same op order as `variance`).
-        let w = self.window.capacity();
-        let mean = self.window.iter().sum::<f64>() / w as f64;
-        let var = self.window.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / w as f64;
-        if var <= 0.0 {
-            return Err(EstimatorError::ZeroVariance {
-                estimator: "variance-time",
-            });
-        }
-
-        let start = self.total - w as u64;
-        let advance = self.tiles_at.map(|prev| start - prev);
-        let StreamingHurst {
-            window,
-            rs_rows,
-            vt_rows,
-            scratch,
-            ..
-        } = self;
-        for row in rs_rows.iter_mut() {
-            let score = |off: usize, n: usize| {
-                scratch.clear();
-                scratch.extend((off..off + n).map(|i| window.get(i)));
-                rescaled_range(scratch)
-            };
-            retile(row, w, advance, score);
-        }
-        for row in vt_rows.iter_mut() {
-            let score = |off: usize, n: usize| {
-                Some((off..off + n).map(|i| window.get(i)).sum::<f64>() / n as f64)
-            };
-            retile(row, w, advance, score);
-        }
-        self.tiles_at = Some(start);
-
-        let mut rs_points = Vec::with_capacity(self.rs_rows.len());
-        for row in &self.rs_rows {
-            let mut acc = 0.0;
-            let mut blocks = 0usize;
-            for &rs in row.blocks.iter().flatten() {
-                acc += rs;
-                blocks += 1;
-            }
-            if blocks > 0 {
-                rs_points.push(((row.size as f64).ln(), (acc / blocks as f64).ln()));
-            }
-        }
-        let rs = rs_fit_points(rs_points)?;
-
-        let mut vt_points = Vec::with_capacity(self.vt_rows.len());
-        for row in self.vt_rows.iter() {
-            if row.blocks.len() < 2 {
-                continue;
-            }
-            // The deque holds plain means; unwrap into the contiguous
-            // scratch so `variance` sees the exact slice the batch path
-            // aggregates.
-            self.scratch.clear();
-            self.scratch.extend(row.blocks.iter().map(|m| m.unwrap()));
-            let v = variance(&self.scratch);
-            if v > 0.0 {
-                vt_points.push(((row.size as f64).ln(), v.ln()));
-            }
-        }
-        let vt = vt_fit_points(vt_points)?;
-
-        Ok(HurstPair { rs, vt })
+        self.scratch.clear();
+        self.scratch.extend(self.window.iter());
+        Ok(HurstPair {
+            rs: try_rs_estimate_with_sizes(&self.scratch, &self.rs_sizes)?,
+            vt: try_variance_time_estimate_with_sizes(&self.scratch, &self.vt_sizes)?,
+        })
     }
 
     /// The most recent estimate pair; `None` until the window first
@@ -332,33 +240,6 @@ impl StreamingHurst {
     /// The underlying sample window.
     pub fn window(&self) -> &SlidingWindow {
         &self.window
-    }
-}
-
-/// Brings one tile row up to date with a window that advanced by
-/// `advance` pushes since the row was last built (`None` = never
-/// built). If the advance is a whole number of this row's blocks, the
-/// evicted blocks are popped and only the new tail blocks are scored;
-/// otherwise the row is retiled from scratch. `score(off, n)` scores
-/// the block at logical window offset `off`.
-fn retile(
-    row: &mut TileRow,
-    window_len: usize,
-    advance: Option<u64>,
-    mut score: impl FnMut(usize, usize) -> Option<f64>,
-) {
-    let n = row.size;
-    let total_blocks = window_len / n;
-    match advance {
-        Some(d) if d % n as u64 == 0 && (d / n as u64) as usize <= row.blocks.len() => {
-            for _ in 0..(d / n as u64) as usize {
-                row.blocks.pop_front();
-            }
-        }
-        _ => row.blocks.clear(),
-    }
-    for k in row.blocks.len()..total_blocks {
-        row.blocks.push_back(score(k * n, n));
     }
 }
 
@@ -414,10 +295,10 @@ mod tests {
 
     #[test]
     fn aligned_and_unaligned_cadences_both_match_batch() {
-        // Cadence 32 divides every dyadic block size (pure pop/append
-        // path); 24 divides only the small ones (mixed); 17 divides
-        // none (full retile path). All must reproduce the batch
-        // estimate of the trailing window at every refresh.
+        // Cadence 32 divides every dyadic block size, 24 only the
+        // small ones and 17 none: whatever the phase of the window
+        // against the block grid, every refresh must reproduce the
+        // batch estimate of the trailing window.
         let series: Vec<f64> = (0..2048).map(|i| ((i * 193 + 71) % 509) as f64).collect();
         for cadence in [32usize, 24, 17] {
             let mut s = StreamingHurst::new(128, cadence);
@@ -465,16 +346,21 @@ mod tests {
 
     #[test]
     fn constant_stream_never_panics_and_yields_nothing() {
-        let mut s = StreamingHurst::new(64, 4);
-        for _ in 0..300 {
-            s.push(2.5);
+        for v in [2.5, 0.1, 12.7] {
+            let mut s = StreamingHurst::new(64, 4);
+            for _ in 0..300 {
+                s.push(v);
+            }
+            assert!(
+                s.current().is_none(),
+                "constant stream at {v} yielded an estimate"
+            );
+            // Variability arriving later unlocks the estimate.
+            for i in 0..64 {
+                s.push((i % 9) as f64);
+            }
+            assert!(s.current().is_some());
         }
-        assert!(s.current().is_none());
-        // Variability arriving later unlocks the estimate.
-        for i in 0..64 {
-            s.push((i % 9) as f64);
-        }
-        assert!(s.current().is_some());
     }
 
     #[test]

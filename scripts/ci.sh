@@ -19,6 +19,9 @@ cargo test -q --release --workspace --locked
 echo "=== clippy (-D warnings) ==="
 cargo clippy --workspace --all-targets --locked -- -D warnings
 
+echo "=== rustdoc (-D warnings, lrd-stats) ==="
+RUSTDOCFLAGS="-D warnings" cargo doc -p lrd-stats --no-deps --locked
+
 echo "=== benchmark tests (lrdbench, its own workspace) ==="
 # lrdbench builds against the workspace crates by path: a workspace
 # API change that breaks it fails here rather than in a benchmark run.

@@ -5,9 +5,9 @@
 //! schedules, window sizes and eviction-heavy long streams.
 //!
 //! "Bit-equal" below means `f64::to_bits` equality — the incremental
-//! paths are required to reproduce the batch arithmetic exactly (R/S,
-//! wavelet) or to a pinned accumulation tolerance (variance–time,
-//! whose per-level Welford variance is the price of bounded state).
+//! paths drive the same per-scale accumulators as the batch estimators
+//! (R/S, variance–time and wavelet alike), so they must reproduce the
+//! batch arithmetic exactly.
 
 use lrd::stats::{
     dyadic_sizes, try_rs_estimate_with_sizes, try_variance_time_estimate_with_sizes,
@@ -61,11 +61,10 @@ fn onepass_matches_batch_at_random_prefixes() {
             onepass.variance_time_estimate(),
             try_variance_time_estimate_with_sizes(prefix, &vt_sizes),
         ) {
-            (Ok(a), Ok(b)) => assert!(
-                (a.h - b.h).abs() < 1e-6,
-                "one-pass VT {} vs batch {} at prefix {n}",
-                a.h,
-                b.h
+            (Ok(a), Ok(b)) => assert_eq!(
+                a.h.to_bits(),
+                b.h.to_bits(),
+                "one-pass VT split from batch at prefix {n}"
             ),
             (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
             (a, b) => panic!("VT estimability diverged at prefix {n}: {a:?} vs {b:?}"),
