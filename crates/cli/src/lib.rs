@@ -1,10 +1,9 @@
 //! The shared command-line surface of every binary in the workspace.
 //!
-//! The 17 figure binaries, the sweep coordinator, the fleet monitor,
-//! and the serving daemon all accept the same core flags (`--quick`,
-//! `--threads`, `--telemetry`, `--telemetry-summary`, `--shard`,
-//! `--checkpoint`, `--steal`), so parsing lives here
-//! exactly once as [`CommonArgs`]. Binaries with extra flags layer
+//! The 17 figure binaries and the serving daemon all accept the same
+//! core flags (`--quick`, `--threads`, `--telemetry`,
+//! `--telemetry-summary`, `--shard`, `--checkpoint`), so parsing lives
+//! here exactly once as [`CommonArgs`]. Binaries with extra flags layer
 //! them over the shared core through [`CommonArgs::parse_with`]'s
 //! extension hook instead of re-rolling the whole loop.
 //!
@@ -22,8 +21,8 @@ use std::sync::Arc;
 /// Shard `i` owns every lattice point whose stable index `p`
 /// satisfies `p % n == i`. Round-robin (rather than contiguous
 /// blocks) spreads the expensive deep-loss corner of a surface across
-/// all shards, so wall-clock balances without any cost model on a
-/// homogeneous fleet; heterogeneous fleets use `--steal` instead.
+/// all shards, so wall-clock balances without any cost model. A shard
+/// that is killed resumes from its checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Zero-based shard index, `< count`.
@@ -95,18 +94,6 @@ pub struct CommonArgs {
     /// Stream completed sweep points to this JSONL file and resume
     /// from it when it already exists (`--checkpoint <path>`).
     pub checkpoint: Option<PathBuf>,
-    /// Run as a work-stealing worker against the `sweep_coord`
-    /// coordinator at this endpoint (`--steal host:port` or
-    /// `--steal unix:<path>`). Requires `--checkpoint`; mutually
-    /// exclusive with `--shard` (the coordinator, not a
-    /// static split, decides which points this process solves).
-    pub steal: Option<String>,
-    /// Identity stamped on JSONL telemetry records instead of the pid
-    /// default. Never parsed from a flag — callers that know their
-    /// stable identity (steal-mode workers adopt it from their
-    /// checkpoint) set it before installing telemetry, so offline
-    /// tooling can join the records with other ledgers by name.
-    pub identity: Option<String>,
 }
 
 impl CommonArgs {
@@ -148,10 +135,6 @@ impl CommonArgs {
                     let path = args.next().ok_or(CliError::MissingValue("--checkpoint"))?;
                     config.checkpoint = Some(PathBuf::from(path));
                 }
-                "--steal" => {
-                    let endpoint = args.next().ok_or(CliError::MissingValue("--steal"))?;
-                    config.steal = Some(parse_endpoint(&endpoint)?);
-                }
                 other if other.starts_with("--threads=") => {
                     let n = &other["--threads=".len()..];
                     if n.is_empty() {
@@ -187,13 +170,6 @@ impl CommonArgs {
                     }
                     config.checkpoint = Some(PathBuf::from(path));
                 }
-                other if other.starts_with("--steal=") => {
-                    let endpoint = &other["--steal=".len()..];
-                    if endpoint.is_empty() {
-                        return Err(CliError::MissingValue("--steal"));
-                    }
-                    config.steal = Some(parse_endpoint(endpoint)?);
-                }
                 other => {
                     if !ext(other, &mut args)? {
                         return Err(CliError::UnknownArgument(other.to_string()));
@@ -216,8 +192,7 @@ impl CommonArgs {
     }
 
     /// The telemetry sinks this configuration asks for: a JSONL writer
-    /// when `--telemetry` was given (stamped with
-    /// [`identity`](CommonArgs::identity) when one is set), a summary
+    /// when `--telemetry` was given, a summary
     /// table (to a file and/or stderr) when `--telemetry-summary` was.
     /// Empty (telemetry stays disabled) with neither flag. Harnesses
     /// that want to observe the run themselves can append their own
@@ -235,11 +210,7 @@ impl CommonArgs {
         };
         let mut sinks: Vec<Arc<dyn lrd_obs::Subscriber>> = Vec::new();
         if let Some(path) = &self.telemetry {
-            let mut sink =
-                lrd_obs::JsonlSubscriber::create(path).map_err(|e| io_error(path, e))?;
-            if let Some(identity) = &self.identity {
-                sink = sink.with_identity(identity);
-            }
+            let sink = lrd_obs::JsonlSubscriber::create(path).map_err(|e| io_error(path, e))?;
             sinks.push(Arc::new(sink));
         }
         if let Some(path) = &self.telemetry_summary_file {
@@ -347,8 +318,8 @@ fn parse_shard(value: &str) -> Result<ShardSpec, CliError> {
 }
 
 /// Validates an endpoint string (`host:port` or `unix:<path>`),
-/// returning it unchanged — shared by `--steal`, `--listen`, `--coord`
-/// and friends.
+/// returning it unchanged — shared by `lrd-serve`'s `--listen` and
+/// `--ask`.
 pub fn parse_endpoint(value: &str) -> Result<String, CliError> {
     lrd_net::Endpoint::parse(value)
         .map(|_| value.to_string())
@@ -535,28 +506,13 @@ mod tests {
     }
 
     #[test]
-    fn steal_flag_both_spellings_and_validation() {
-        let config = parse(strings(&["--steal", "127.0.0.1:7077"])).unwrap();
-        assert_eq!(config.steal, Some("127.0.0.1:7077".to_string()));
-        let config = parse(strings(&["--steal=unix:/tmp/coord.sock", "--quick"])).unwrap();
-        assert_eq!(config.steal, Some("unix:/tmp/coord.sock".to_string()));
-        assert_eq!(
-            parse(strings(&["--steal"])),
-            Err(CliError::MissingValue("--steal"))
-        );
-        assert_eq!(
-            parse(strings(&["--steal="])),
-            Err(CliError::MissingValue("--steal"))
-        );
-        for bad in ["nocolon", "unix:"] {
+    fn removed_steal_flag_is_unknown() {
+        for args in [&["--steal", "127.0.0.1:7077"][..], &["--steal=unix:/tmp/s.sock"]] {
             assert_eq!(
-                parse(strings(&["--steal", bad])),
-                Err(CliError::InvalidEndpoint(bad.to_string())),
-                "--steal {bad} should be rejected"
+                parse(strings(args)),
+                Err(CliError::UnknownArgument(args[0].to_string()))
             );
         }
-        let e = parse(strings(&["--steal", "nocolon"])).unwrap_err();
-        assert!(e.to_string().contains("host:port"));
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //!
 //! Every figure binary accepts exactly the shared flag set (`--quick`,
 //! `--telemetry`, `--telemetry-summary`, `--threads`, `--shard`,
-//! `--checkpoint`, `--steal` and `--help`), so the
-//! only figure-specific pieces left here are the `--help` text and the
-//! steal-mode worker-identity stamping. Invalid invocations produce a
+//! `--checkpoint` and `--help`), so the only figure-specific piece
+//! left here is the `--help` text. Invalid invocations produce a
 //! typed [`CliError`] — the binaries print it to stderr and exit with
 //! status 1 instead of silently ignoring unknown flags (the
 //! degradation contract in DESIGN.md: bad configuration is an error,
@@ -29,7 +28,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<RunConfig, CliEr
 
 const FIGURE_USAGE: &str = "usage: <figure binary> [--quick] [--threads <n>] \
      [--shard <i/n> --checkpoint <path>] \
-     [--steal <endpoint> --checkpoint <path>] \
      [--telemetry <path.jsonl>] [--telemetry-summary[=<path>]]\n\
      \n\
      --quick              reduced grids (seconds instead of minutes)\n\
@@ -42,10 +40,6 @@ const FIGURE_USAGE: &str = "usage: <figure binary> [--quick] [--threads <n>] \
      --checkpoint <path>  stream completed points to <path> (JSONL)\n\
      \u{20}                    and resume from it if it exists; merge\n\
      \u{20}                    shards with the sweep_merge binary\n\
-     --steal <endpoint>   run as a work-stealing worker against the\n\
-     \u{20}                    sweep_coord coordinator at host:port or\n\
-     \u{20}                    unix:<path> (sweep figures only; requires\n\
-     \u{20}                    --checkpoint, excludes --shard)\n\
      --telemetry <path>   write structured JSONL telemetry (solver\n\
      \u{20}                    spans, per-iteration gaps, refinements,\n\
      \u{20}                    metrics) to <path>\n\
@@ -60,20 +54,11 @@ const FIGURE_USAGE: &str = "usage: <figure binary> [--quick] [--threads <n>] \
 /// Parses `std::env::args()`, printing a typed error and exiting with
 /// status 1 on an invalid command line — the shared entry point of all
 /// figure binaries. A `--threads` request is applied to the global
-/// worker pool here, before any solver work can touch it; in steal
-/// mode the worker identity the coordinator will see (adopted from the
-/// checkpoint) is stamped on the configuration so the JSONL telemetry
-/// sink records under the same name — `sweep_trace` joins the two
-/// ledgers by it.
+/// worker pool here, before any solver work can touch it.
 pub fn run_config() -> RunConfig {
     match parse(std::env::args().skip(1)) {
-        Ok(mut config) => {
+        Ok(config) => {
             config.apply_threads();
-            if config.steal.is_some() {
-                if let Some(checkpoint) = &config.checkpoint {
-                    config.identity = Some(crate::sweep::coord::worker_identity(checkpoint));
-                }
-            }
             config
         }
         Err(e) => {

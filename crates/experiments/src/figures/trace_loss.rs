@@ -14,6 +14,7 @@
 //! the estimated parameters rather than the nominal ones.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::corpus::{Corpus, MARGINAL_BINS, MTV_UTILIZATION};
 use crate::figures::Profile;
@@ -38,10 +39,14 @@ fn corpus_spec(profile: Profile) -> CorpusSpec {
 }
 
 fn scratch_path(profile: Profile) -> PathBuf {
-    // Per-process name: concurrent shard processes each write (and
-    // immediately delete) their own copy instead of racing on one file.
+    // Per-process, per-call name: concurrent shard processes, and
+    // concurrent callers in one process (parallel tests), each write
+    // (and immediately delete) their own copy instead of racing on one
+    // file. `Relaxed` suffices: the counter publishes no other data.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!(
-        "lrd_trace_loss_{}_{}.lrdpkt",
+        "lrd_trace_loss_{}_{}_{call}.lrdpkt",
         profile.tag(),
         std::process::id()
     ))

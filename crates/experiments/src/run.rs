@@ -21,10 +21,7 @@ use crate::cli::{self, RunConfig};
 use crate::corpus::Corpus;
 use crate::figures::{self, Profile};
 use crate::output::{self, Grid};
-use crate::sweep::coord::{self, CoordError, StealOptions};
-use crate::sweep::{
-    merge_checkpoints, run_points, CheckpointOrigin, FigureSweep, ShardSpec, SweepError,
-};
+use crate::sweep::{merge_checkpoints, run_points, FigureSweep, ShardSpec, SweepError};
 
 /// Everything a figure run wants to show the user. The emit order and
 /// channels are fixed: `table` and `notes` go to stderr, `csv` to
@@ -118,9 +115,8 @@ impl FigureSpec {
     /// figure's budget: `solves` spans total, of which `warm` carried
     /// `warm: true`. The total must match exactly (duplicated or
     /// skipped solves are both regressions); the warm count may fall
-    /// anywhere below the lattice-donor ceiling (shards, resumes and
-    /// steal batches run donor-less points cold) but can never exceed
-    /// it.
+    /// anywhere below the lattice-donor ceiling (shards and resumes run
+    /// donor-less points cold) but can never exceed it.
     pub fn check_solve_budget(
         &self,
         profile: Profile,
@@ -620,16 +616,6 @@ pub enum RunError {
     /// only output is its checkpoint file, so running one without a
     /// path would discard the work.
     ShardWithoutCheckpoint,
-    /// `--steal` combined with `--shard`: the
-    /// coordinator decides which points a stealing worker solves, so a
-    /// static split contradicts it.
-    StealWithShard,
-    /// `--steal` without `--checkpoint`: a stealing worker's only
-    /// output is its checkpoint file.
-    StealWithoutCheckpoint,
-    /// The work-stealing protocol failed (unreachable coordinator,
-    /// sweep mismatch, lease-log damage, …).
-    Coord(CoordError),
     /// The sweep layer failed (I/O, malformed or mismatched
     /// checkpoints).
     Sweep(SweepError),
@@ -647,15 +633,6 @@ impl std::fmt::Display for RunError {
             RunError::ShardWithoutCheckpoint => {
                 write!(f, "--shard requires --checkpoint <path> (the shard's output)")
             }
-            RunError::StealWithShard => write!(
-                f,
-                "--steal is mutually exclusive with --shard (the coordinator assigns the points)"
-            ),
-            RunError::StealWithoutCheckpoint => write!(
-                f,
-                "--steal requires --checkpoint <path> (the worker's output)"
-            ),
-            RunError::Coord(e) => write!(f, "{e}"),
             RunError::Sweep(e) => write!(f, "{e}"),
         }
     }
@@ -666,12 +643,6 @@ impl std::error::Error for RunError {}
 impl From<SweepError> for RunError {
     fn from(e: SweepError) -> RunError {
         RunError::Sweep(e)
-    }
-}
-
-impl From<CoordError> for RunError {
-    fn from(e: CoordError) -> RunError {
-        RunError::Coord(e)
     }
 }
 
@@ -699,18 +670,12 @@ fn emit(spec: &FigureSpec, artifacts: &FigureArtifacts) {
 /// Runs one registered figure under a parsed configuration: the whole
 /// historical binary body behind one call.
 ///
-/// * Plain figures reject `--shard`/`--checkpoint`/`--steal` with a
-///   typed error.
+/// * Plain figures reject `--shard`/`--checkpoint` with a typed error.
 /// * Sweep figures with `--shard i/n` (n > 1) solve only their
 ///   round-robin slice, stream it to the
 ///   required `--checkpoint`, print a shard summary to stderr and emit
 ///   **no** artifacts; the full figure appears when `sweep_merge`
 ///   assembles all shards.
-/// * Sweep figures with `--steal <endpoint>` become work-stealing
-///   workers: they lease point batches from the `sweep_coord`
-///   coordinator, heartbeat while solving, stream results to the
-///   required `--checkpoint`, and emit no artifacts (merge the worker
-///   checkpoints with `sweep_merge`).
 /// * Sweep figures without `--shard` run the full lattice (optionally
 ///   checkpointed/resumed) and emit artifacts identical to the
 ///   pre-sweep implementation.
@@ -720,7 +685,7 @@ pub fn run_figure(spec: &FigureSpec, config: &RunConfig) -> Result<(), RunError>
 
     match &spec.kind {
         FigureKind::Plain(runner) => {
-            if config.shard.is_some() || config.checkpoint.is_some() || config.steal.is_some() {
+            if config.shard.is_some() || config.checkpoint.is_some() {
                 return Err(RunError::ShardUnsupported(spec.name));
             }
             emit(spec, &runner(&corpus, profile));
@@ -728,38 +693,6 @@ pub fn run_figure(spec: &FigureSpec, config: &RunConfig) -> Result<(), RunError>
         }
         FigureKind::Sweep { build, finish } => {
             let sweep = build(&corpus, profile);
-            if let Some(endpoint) = config.steal.as_deref() {
-                if config.shard.is_some() {
-                    return Err(RunError::StealWithShard);
-                }
-                let Some(path) = config.checkpoint.as_deref() else {
-                    return Err(RunError::StealWithoutCheckpoint);
-                };
-                let endpoint = coord::Endpoint::parse(endpoint).ok_or_else(|| {
-                    RunError::Coord(CoordError::protocol(format!(
-                        "invalid --steal endpoint `{endpoint}`"
-                    )))
-                })?;
-                let options = StealOptions {
-                    endpoint,
-                    chaos: coord::ChaosConfig::from_env(),
-                    ..StealOptions::default()
-                };
-                let summary = coord::run_steal(&sweep, path, &options)?;
-                eprintln!(
-                    "worker {} of {}: {} point(s) solved ({} reused, {} batch(es) \
-                     completed, {} lease(s) expired) -> {} \
-                     (assemble the figure with sweep_merge)",
-                    summary.worker,
-                    spec.name,
-                    summary.solved,
-                    summary.reused,
-                    summary.batches,
-                    summary.expired,
-                    path.display()
-                );
-                return Ok(());
-            }
             let shard = config.shard.unwrap_or(ShardSpec::FULL);
             if !shard.is_full() {
                 let Some(path) = config.checkpoint.as_deref() else {
@@ -815,14 +748,9 @@ pub fn run_merge(paths: &[PathBuf]) -> Result<(), RunError> {
         }));
     }
     let grid = sweep.plan.to_grid(&merged.results);
-    let sources = match &merged.manifest.origin {
-        CheckpointOrigin::Shard(s) => format!("{} shards", s.count),
-        CheckpointOrigin::Steal { .. } => {
-            format!("{} worker checkpoint(s)", merged.sources)
-        }
-    };
     eprintln!(
-        "merged {sources} ({} points, {} total solver iterations)",
+        "merged {} shards ({} points, {} total solver iterations)",
+        merged.manifest.shard.count,
         merged.results.len(),
         merged.total_iterations()
     );

@@ -10,7 +10,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 /// A failure while running, checkpointing, or merging a sweep.
-// Not `Eq`: the duplicate variants carry the point's `f64` lattice
+// Not `Eq`: the duplicate variant carries the point's `f64` lattice
 // coordinates so merge errors name *where* the conflict is.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepError {
@@ -67,7 +67,7 @@ pub enum SweepError {
         /// The stable index of the duplicated point.
         index: usize,
     },
-    /// Two static-shard checkpoints both solved the same point — one
+    /// Two shard checkpoints both solved the same point — one
     /// shard's file was supplied twice. Unlike [`DuplicatePoint`] (a
     /// within-file defect), this names both conflicting files and the
     /// point's lattice coordinates so the offending files can be found
@@ -84,25 +84,6 @@ pub enum SweepError {
         first: PathBuf,
         /// The checkpoint that recorded it again.
         second: PathBuf,
-    },
-    /// Two steal-mode worker checkpoints solved the same point — which
-    /// is expected after a lease reclaim — but their values are not
-    /// bit-identical, so first-writer-wins resolution would silently
-    /// pick one of two *different* answers. This can only mean the
-    /// workers ran different binaries or a nondeterministic solve.
-    DuplicateMismatch {
-        /// The stable index of the conflicting point.
-        index: usize,
-        /// The point's lattice coordinates (one per plan axis).
-        coords: Vec<f64>,
-        /// The checkpoint whose value was kept (first writer).
-        first: PathBuf,
-        /// The checkpoint whose value disagrees.
-        second: PathBuf,
-        /// The first writer's value.
-        first_value: f64,
-        /// The disagreeing value.
-        second_value: f64,
     },
     /// The merged shard files do not form the full partition
     /// `{0, …, n-1}`.
@@ -174,22 +155,6 @@ impl fmt::Display for SweepError {
                 f,
                 "point {index} at {} solved by both {} and {} — the shard \
                  ownership sets overlap",
-                fmt_coords(coords),
-                first.display(),
-                second.display()
-            ),
-            SweepError::DuplicateMismatch {
-                index,
-                coords,
-                first,
-                second,
-                first_value,
-                second_value,
-            } => write!(
-                f,
-                "point {index} at {} solved twice with different values: {} \
-                 recorded {first_value:e}, {} recorded {second_value:e} — \
-                 duplicate solves after a lease reclaim must be bit-identical",
                 fmt_coords(coords),
                 first.display(),
                 second.display()

@@ -1,17 +1,15 @@
-//! Reassembling a full sweep surface from per-shard (or per-worker)
-//! checkpoint files.
+//! Reassembling a full sweep surface from per-shard checkpoint files.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::sweep::checkpoint::CheckpointOrigin;
 use crate::sweep::{read_checkpoint, Manifest, PointResult, SweepError};
 
 /// A complete surface merged from a full set of checkpoints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergedSurface {
-    /// The manifest every file agreed on (the origin is the reference
-    /// file's and is not meaningful after merging).
+    /// The manifest every file agreed on (the shard index is the
+    /// reference file's and is not meaningful after merging).
     pub manifest: Manifest,
     /// The full lattice, in stable-index order.
     pub results: Vec<PointResult>,
@@ -53,25 +51,16 @@ fn mismatch(
 ///
 /// 1. at least one file ([`SweepError::NoCheckpoints`]);
 /// 2. every manifest agrees with the first file's on figure, plan
-///    hash, profile, lattice size and execution mode (static shards
-///    and steal workers cannot mix —
-///    [`SweepError::ManifestMismatch`] names the field);
-/// 3. **static shards**: the shard counts agree, the shard indices
-///    present are exactly `{0, …, n-1}`
+///    hash, profile, lattice size and shard count
+///    ([`SweepError::ManifestMismatch`] names the field);
+/// 3. the shard indices present are exactly `{0, …, n-1}`
 ///    ([`SweepError::IncompleteShardSet`]), every point belongs to the
 ///    shard whose file recorded it ([`SweepError::ForeignPoint`]) and
 ///    appears exactly once — a point recorded twice means one shard's
 ///    file was supplied twice, reported with both file paths and the
 ///    point's lattice coordinates
 ///    ([`SweepError::DuplicateAcrossShards`]);
-/// 4. **steal workers**: any worker may have solved any point (a
-///    lease reclaimed from a slow-but-alive worker is legitimately
-///    solved twice), so duplicates resolve **first-writer-wins** — but
-///    only if the values are bit-identical; a disagreement is the
-///    typed [`SweepError::DuplicateMismatch`] naming both files, the
-///    coordinates, and both values;
-/// 5. either way, every lattice point must be present
-///    ([`SweepError::MissingPoints`]).
+/// 4. every lattice point is present ([`SweepError::MissingPoints`]).
 ///
 /// The merged surface is bit-identical to a single-host run of the
 /// same plan: point values travel through the checkpoint as
@@ -100,58 +89,32 @@ pub fn merge_checkpoints(paths: &[PathBuf]) -> Result<MergedSurface, SweepError>
         if m.total_points != reference.total_points {
             return Err(mismatch(path, "points", reference.total_points, m.total_points));
         }
-        if m.origin.mode() != reference.origin.mode() {
+        if m.shard.count != reference.shard.count {
             return Err(mismatch(
                 path,
-                "mode",
-                reference.origin.mode(),
-                m.origin.mode(),
+                "shard_count",
+                reference.shard.count,
+                m.shard.count,
             ));
         }
-        if let (CheckpointOrigin::Shard(shard), Some(ref_shard)) =
-            (&m.origin, reference.origin.shard())
-        {
-            if shard.count != ref_shard.count {
-                return Err(mismatch(path, "shard_count", ref_shard.count, shard.count));
-            }
-            shards_seen.push(shard.index);
-        }
+        shards_seen.push(m.shard.index);
         for point in ck.points {
-            if point.index >= m.total_points || !m.origin.owns(point.index) {
+            if point.index >= m.total_points || !m.shard.owns(point.index) {
                 return Err(SweepError::ForeignPoint {
                     path: path.to_path_buf(),
                     index: point.index,
                 });
             }
-            match points.get(&point.index) {
-                None => {
-                    recorded_by.insert(point.index, path.to_path_buf());
-                    points.insert(point.index, point);
-                }
-                Some(kept) if m.origin.is_steal() => {
-                    // A legitimate duplicate solve from a reclaimed
-                    // lease: first-writer-wins, provided the answers
-                    // are the same answer, to the bit.
-                    if kept.value.to_bits() != point.value.to_bits() {
-                        return Err(SweepError::DuplicateMismatch {
-                            index: point.index,
-                            coords: reference.point_coords(point.index),
-                            first: recorded_by[&point.index].clone(),
-                            second: path.to_path_buf(),
-                            first_value: kept.value,
-                            second_value: point.value,
-                        });
-                    }
-                }
-                Some(_) => {
-                    return Err(SweepError::DuplicateAcrossShards {
-                        index: point.index,
-                        coords: reference.point_coords(point.index),
-                        first: recorded_by[&point.index].clone(),
-                        second: path.to_path_buf(),
-                    });
-                }
+            if let Some(first) = recorded_by.get(&point.index) {
+                return Err(SweepError::DuplicateAcrossShards {
+                    index: point.index,
+                    coords: reference.point_coords(point.index),
+                    first: first.clone(),
+                    second: path.to_path_buf(),
+                });
             }
+            recorded_by.insert(point.index, path.to_path_buf());
+            points.insert(point.index, point);
         }
         Ok(())
     };
@@ -162,15 +125,13 @@ pub fn merge_checkpoints(paths: &[PathBuf]) -> Result<MergedSurface, SweepError>
         absorb(path, ck)?;
     }
 
-    if let Some(ref_shard) = reference.origin.shard() {
-        shards_seen.sort_unstable();
-        let want: Vec<u32> = (0..ref_shard.count).collect();
-        if shards_seen != want {
-            return Err(SweepError::IncompleteShardSet {
-                expected: ref_shard.count,
-                found: shards_seen,
-            });
-        }
+    shards_seen.sort_unstable();
+    let want: Vec<u32> = (0..reference.shard.count).collect();
+    if shards_seen != want {
+        return Err(SweepError::IncompleteShardSet {
+            expected: reference.shard.count,
+            found: shards_seen,
+        });
     }
 
     if points.len() != reference.total_points {
@@ -194,10 +155,7 @@ pub fn merge_checkpoints(paths: &[PathBuf]) -> Result<MergedSurface, SweepError>
 mod tests {
     use super::*;
     use crate::figures::Profile;
-    use crate::sweep::{
-        manifest_line_for, point_line, run_points, Axis, FigureSweep, PointSpec, ShardSpec,
-        SweepPlan,
-    };
+    use crate::sweep::{run_points, Axis, FigureSweep, PointSpec, ShardSpec, SweepPlan};
     use lrd_fluidq::SolverOptions;
 
     fn sweep(figure: &str) -> FigureSweep<'static> {
@@ -244,33 +202,6 @@ mod tests {
             .collect()
     }
 
-    /// Hand-writes a steal-mode worker checkpoint holding the given
-    /// point indices, solved with `s.solve` (plus an optional value
-    /// perturbation for mismatch tests).
-    fn write_worker(
-        s: &FigureSweep<'_>,
-        dir: &Path,
-        worker: &str,
-        indices: &[usize],
-        perturb: f64,
-    ) -> PathBuf {
-        let origin = CheckpointOrigin::Steal {
-            worker: worker.to_string(),
-        };
-        let mut text = manifest_line_for(&s.plan, &origin);
-        text.push('\n');
-        for &i in indices {
-            let spec = s.plan.point(i);
-            let mut result = (s.solve)(&spec, None).0;
-            result.value += perturb;
-            text.push_str(&point_line(&spec.coords, &result));
-            text.push('\n');
-        }
-        let path = dir.join(format!("{worker}.jsonl"));
-        std::fs::write(&path, text).unwrap();
-        path
-    }
-
     #[test]
     fn merge_matches_single_run_bitwise() {
         let s = sweep("demo");
@@ -289,87 +220,6 @@ mod tests {
                 single.iter().map(|r| r.iterations).sum::<u64>()
             );
         }
-    }
-
-    #[test]
-    fn merge_of_steal_workers_matches_single_run_bitwise() {
-        let s = sweep("demo");
-        let single = run_points(&s, &ShardSpec::FULL, None).unwrap();
-        let dir = tmpdir("steal-ok");
-        // Three workers with uneven, interleaved batches — the shape a
-        // work-stealing run produces. Worker w2 additionally re-solved
-        // point 3 after a reclaim: bit-identical, so first-writer-wins
-        // keeps w0's copy silently.
-        let paths = vec![
-            write_worker(&s, &dir, "w0", &[0, 3, 6, 8], 0.0),
-            write_worker(&s, &dir, "w1", &[1, 2], 0.0),
-            write_worker(&s, &dir, "w2", &[3, 4, 5, 7], 0.0),
-        ];
-        let merged = merge_checkpoints(&paths).unwrap();
-        assert_eq!(merged.results.len(), single.len());
-        assert_eq!(merged.sources, 3);
-        assert!(merged.manifest.origin.is_steal());
-        for (a, b) in single.iter().zip(&merged.results) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
-        }
-    }
-
-    #[test]
-    fn steal_duplicate_with_different_bits_is_rejected_with_coords() {
-        let s = sweep("demo");
-        let dir = tmpdir("steal-mismatch");
-        let paths = vec![
-            write_worker(&s, &dir, "w0", &[0, 1, 2, 3, 4], 0.0),
-            // Same point 4, value perturbed by one ulp-ish amount.
-            write_worker(&s, &dir, "w1", &[4, 5, 6, 7, 8], 1e-13),
-        ];
-        let err = merge_checkpoints(&paths).unwrap_err();
-        match err {
-            SweepError::DuplicateMismatch {
-                index,
-                coords,
-                first,
-                second,
-                first_value,
-                second_value,
-            } => {
-                assert_eq!(index, 4);
-                // Coordinates decode from the embedded axes: point 4
-                // of the 3×3 row-major lattice is (b=1.0, tc=5.0).
-                assert_eq!(coords, vec![1.0, 5.0]);
-                assert_eq!(first, paths[0]);
-                assert_eq!(second, paths[1]);
-                assert_ne!(first_value.to_bits(), second_value.to_bits());
-            }
-            other => panic!("expected DuplicateMismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn steal_merge_rejects_missing_points_and_mixed_modes() {
-        let s = sweep("demo");
-        let dir = tmpdir("steal-bad");
-        // Point 5 never solved by anyone.
-        let gappy = vec![
-            write_worker(&s, &dir, "w0", &[0, 1, 2, 3], 0.0),
-            write_worker(&s, &dir, "w1", &[4, 6, 7, 8], 0.0),
-        ];
-        assert!(matches!(
-            merge_checkpoints(&gappy).unwrap_err(),
-            SweepError::MissingPoints {
-                missing: 1,
-                first: 5
-            }
-        ));
-        // A static shard file cannot slip into a steal merge.
-        let shard_path = dir.join("shard.jsonl");
-        run_points(&s, &ShardSpec::new(0, 2).unwrap(), Some(&shard_path)).unwrap();
-        let mixed = vec![gappy[0].clone(), shard_path];
-        assert!(matches!(
-            merge_checkpoints(&mixed).unwrap_err(),
-            SweepError::ManifestMismatch { field: "mode", .. }
-        ));
     }
 
     #[test]

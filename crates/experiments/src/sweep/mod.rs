@@ -31,29 +31,21 @@
 //!   profile, shard set, point ownership) and reassembles the full
 //!   surface bit-identically to a single-host run, failing with a
 //!   typed [`SweepError`] on any inconsistency.
-//! * [`coord`] — dynamic work-stealing as the alternative to static
-//!   sharding: a `sweep_coord` process serves uniform contiguous point
-//!   batches under a lease/heartbeat protocol, `--steal` workers
-//!   solve whatever they can lease, and expired leases (crashed or
-//!   wedged workers) are reclaimed and re-issued. Duplicate solves
-//!   from reclaims resolve first-writer-wins at merge, asserted
-//!   bit-identical.
 //!
 //! The design composes one-host parallelism with many-host sharding:
 //! within a shard, points still fan through `par_map`, so `--shard`
 //! and `--threads` multiply. See DESIGN.md §11 for the format and
-//! validation rules, and §12 for the work-stealing protocol.
+//! validation rules, and §12 for why static shards are enough.
 
 mod checkpoint;
-pub mod coord;
 mod error;
 mod merge;
 mod plan;
 mod runner;
 
 pub use checkpoint::{
-    manifest_line, manifest_line_for, point_line, read_checkpoint, validate_checkpoint,
-    write_manifest_durable, Checkpoint, CheckpointOrigin, Manifest,
+    manifest_line, point_line, read_checkpoint, validate_checkpoint, write_manifest_durable,
+    Checkpoint, Manifest,
 };
 pub use error::SweepError;
 pub use merge::{merge_checkpoints, MergedSurface};

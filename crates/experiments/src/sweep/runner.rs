@@ -7,7 +7,7 @@ use std::io::Write;
 use std::path::Path;
 
 use crate::output::Grid;
-use crate::sweep::checkpoint::{open_checkpoint, CheckpointOrigin};
+use crate::sweep::checkpoint::open_checkpoint;
 use crate::sweep::{point_line, PointResult, PointSpec, ShardSpec, SweepError, SweepPlan};
 use lrd_fluidq::WarmState;
 
@@ -58,7 +58,7 @@ impl std::fmt::Debug for FigureSweep<'_> {
 /// measures, captured thread-locally (so it composes with `par_map`
 /// workers and any installed telemetry sink). Durations are a timing
 /// record only — they never influence the solved values.
-pub(crate) fn solve_timed(
+fn solve_timed(
     sweep: &FigureSweep<'_>,
     spec: &PointSpec,
     donor: Option<&WarmState>,
@@ -67,8 +67,7 @@ pub(crate) fn solve_timed(
         lrd_obs::watch_span("solver.solve", || (sweep.solve)(spec, donor));
     result.solve_us = dur;
     if let Some(us) = dur {
-        // The per-point duration stream: quantiles in the summary
-        // sink, and (in steal mode) the coordinator's live cost model.
+        // The per-point duration stream: quantiles in the summary sink.
         lrd_obs::histogram("sweep.solve_us", us);
     }
     (result, state)
@@ -90,27 +89,26 @@ fn warm_enabled() -> bool {
     })
 }
 
-/// The warm states harvested so far within one execution partition (a
-/// shard run, or one leased batch in steal mode), keyed by point
-/// index. Feeding a chunk through [`WarmPool::solve_chunk`] looks up
-/// each point's plan-fixed donor among the already-harvested states —
-/// a donor not in the pool (first wave, resumed from a checkpoint,
-/// owned by another shard/batch, or sharing the current chunk) simply
-/// seeds nothing and the point runs cold.
+/// The warm states harvested so far within one shard run, keyed by
+/// point index. Feeding a chunk through [`WarmPool::solve_chunk`] looks
+/// up each point's plan-fixed donor among the already-harvested states
+/// — a donor not in the pool (first wave, resumed from a checkpoint,
+/// owned by another shard, or sharing the current chunk) simply seeds
+/// nothing and the point runs cold.
 ///
 /// Determinism: the pool's contents at each chunk boundary are a pure
 /// function of the chunk partition, which the callers derive from the
 /// plan and the resume state alone — never from thread scheduling. The
 /// solver guarantees warm and cold solves agree bitwise on values, so
-/// even partitions that disagree (different shard splits, reclaimed
-/// steal leases) merge bit-identically; only iteration counts differ.
-pub(crate) struct WarmPool {
+/// even partitions that disagree (different shard splits) merge
+/// bit-identically; only iteration counts differ.
+struct WarmPool {
     states: HashMap<usize, WarmState>,
 }
 
 impl WarmPool {
     /// An empty pool — every first point of a partition runs cold.
-    pub(crate) fn new() -> WarmPool {
+    fn new() -> WarmPool {
         WarmPool {
             states: HashMap::new(),
         }
@@ -119,7 +117,7 @@ impl WarmPool {
     /// Solves one chunk through the worker pool, seeding each point
     /// from its donor when already harvested, then harvests the
     /// chunk's own exported states.
-    pub(crate) fn solve_chunk(
+    fn solve_chunk(
         &mut self,
         sweep: &FigureSweep<'_>,
         chunk: &[PointSpec],
@@ -156,7 +154,7 @@ impl WarmPool {
 /// in-partition donor of its points has been solved and harvested.
 /// Plans without a warm axis form a single wave and this degenerates
 /// to plain `chunks(cap)`.
-pub(crate) fn wave_chunks<'p>(
+fn wave_chunks<'p>(
     plan: &SweepPlan,
     specs: &'p [PointSpec],
     cap: usize,
@@ -199,7 +197,7 @@ fn is_transient(kind: std::io::ErrorKind) -> bool {
 /// `sweep.checkpoint_retry` warning event per retry. Only transient
 /// failures ([`is_transient`]) are retried; hard failures and an
 /// exhausted budget surface as [`SweepError::Io`].
-pub(crate) fn retry_transient(
+fn retry_transient(
     path: &Path,
     what: &str,
     mut op: impl FnMut() -> std::io::Result<()>,
@@ -235,7 +233,7 @@ pub(crate) fn retry_transient(
 /// truncates back to the pre-append length so the file never
 /// accumulates torn middles — the retried append starts on the same
 /// clean boundary.
-pub(crate) fn append_with_retry(
+fn append_with_retry(
     file: &mut File,
     path: &Path,
     text: &str,
@@ -295,8 +293,7 @@ pub fn run_points(
         return Ok(results);
     };
 
-    let origin = CheckpointOrigin::Shard(*shard);
-    let (mut done, mut file) = open_checkpoint(path, &sweep.plan, &origin)?;
+    let (mut done, mut file) = open_checkpoint(path, &sweep.plan, shard)?;
 
     let remaining: Vec<PointSpec> = owned
         .into_iter()
@@ -596,8 +593,7 @@ mod tests {
         let s = sweep();
         let path = tmp("durable-manifest");
         let _ = std::fs::remove_file(&path);
-        let origin = CheckpointOrigin::Shard(ShardSpec::FULL);
-        let (done, file) = open_checkpoint(&path, &s.plan, &origin).unwrap();
+        let (done, file) = open_checkpoint(&path, &s.plan, &ShardSpec::FULL).unwrap();
         assert!(done.is_empty());
         // Simulate the kill: drop the handle without appending.
         drop(file);
@@ -656,8 +652,7 @@ mod tests {
         let s = sweep();
         let path = tmp("truncate");
         let _ = std::fs::remove_file(&path);
-        let origin = CheckpointOrigin::Shard(ShardSpec::FULL);
-        let (_, mut file) = open_checkpoint(&path, &s.plan, &origin).unwrap();
+        let (_, mut file) = open_checkpoint(&path, &s.plan, &ShardSpec::FULL).unwrap();
         let start = file.metadata().unwrap().len();
         // The "failed attempt": half a point line, no newline.
         let full = run_points(&s, &ShardSpec::FULL, None).unwrap();

@@ -5,14 +5,14 @@
 //! localhost TCP or a Unix socket, each side writing a single
 //! newline-terminated JSON object. There is no pipelining, no session
 //! state on the wire, and no partial-read protocol to get wrong: every
-//! piece of durable state lives with the peers (lease logs,
-//! checkpoints, in-memory engines), so a connection dying at ANY byte
-//! loses nothing — the client simply retries.
+//! piece of durable state lives with the peers (the serving daemon's
+//! in-memory engine), so a connection dying at ANY byte loses nothing
+//! — the client simply retries.
 //!
-//! Message *types* stay with their owners (the sweep coordinator's
-//! request/response enums live in `lrd-experiments`, the serving
-//! daemon's in `lrd-serve`); this crate only owns the bytes-on-a-socket
-//! layer they share.
+//! Message *types* stay with their owner (the serving daemon's
+//! request/response enums live in `lrd-serve`, and the benchmark's
+//! load generator speaks them too); this crate only owns the
+//! bytes-on-a-socket layer.
 
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -68,7 +68,7 @@ impl Conn for UnixStream {}
 
 /// A server's listening socket, in nonblocking accept mode so a
 /// single-threaded serve loop can interleave accepts with periodic
-/// work (lease reclaim scans, model ticks).
+/// work (model ticks, idle refinement).
 pub enum Listener {
     /// TCP on localhost.
     Tcp(TcpListener),

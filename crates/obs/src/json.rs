@@ -279,15 +279,26 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
+                Some(lead) => {
                     // Consume one UTF-8 scalar. The input came in as
                     // &str and the parser only advances by whole
-                    // scalars, so this slice starts on a boundary.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("valid UTF-8"))?;
-                    let ch = rest.chars().next().expect("non-empty checked");
+                    // scalars, so `pos` is on a boundary and the lead
+                    // byte gives the scalar's width. Decoding just that
+                    // slice keeps parsing linear in the input length.
+                    let width = match lead {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        _ => 4,
+                    };
+                    let ch = self
+                        .bytes
+                        .get(self.pos..self.pos + width)
+                        .and_then(|scalar| std::str::from_utf8(scalar).ok())
+                        .and_then(|scalar| scalar.chars().next())
+                        .ok_or_else(|| self.err("valid UTF-8"))?;
                     out.push(ch);
-                    self.pos += ch.len_utf8();
+                    self.pos += width;
                 }
             }
         }
@@ -458,7 +469,7 @@ mod tests {
 
     #[test]
     fn string_writer_round_trips() {
-        for s in ["plain", "with \"quotes\"", "tab\there", "new\nline", "π∆"] {
+        for s in ["plain", "with \"quotes\"", "tab\there", "new\nline", "π∆", "12 µs 😀"] {
             let mut out = String::new();
             write_json_string(&mut out, s);
             assert_eq!(parse_json(&out).unwrap().as_str(), Some(s));

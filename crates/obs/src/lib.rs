@@ -41,6 +41,9 @@
 //! at once); the returned [`InstallGuard`] restores the previous
 //! subscriber on drop, so scoped installation composes.
 //!
+//! A JSONL capture, parsed back line by line with [`parse_json`],
+//! renders as a Chrome trace-event timeline with [`chrome_trace`].
+//!
 //! ```
 //! use std::sync::Arc;
 //!
@@ -69,12 +72,14 @@
 mod json;
 mod metrics;
 mod sinks;
+mod trace;
 
 pub use json::{parse_json, write_json, write_json_f64, write_json_string, Json, JsonError};
 pub use metrics::{HistogramSnapshot, LogHistogram, MetricsRegistry, MetricsSnapshot};
 pub use sinks::{
     CollectingSubscriber, Fanout, JsonlSubscriber, NullSubscriber, Record, SummarySubscriber,
 };
+pub use trace::chrome_trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};

@@ -266,8 +266,13 @@ impl HistogramSnapshot {
 }
 
 /// A compact, mergeable snapshot of a process's counters and
-/// histograms — the payload steal-mode workers piggyback on heartbeats
-/// and completions so the coordinator can fold a fleet-wide view.
+/// histograms, with a JSON form that round-trips ([`to_json_string`]
+/// / [`parse`]) so a snapshot can cross a process boundary and be
+/// folded with others ([`merge`]).
+///
+/// [`to_json_string`]: MetricsSnapshot::to_json_string
+/// [`parse`]: MetricsSnapshot::parse
+/// [`merge`]: MetricsSnapshot::merge
 ///
 /// Names are owned strings (wire-parsed names cannot be `&'static`),
 /// and gauges are deliberately absent: a gauge is a last-value-wins

@@ -57,19 +57,17 @@ impl Subscriber for NullSubscriber {
 /// Draining clears the aggregates, so repeated flushes never duplicate
 /// totals; aggregation after a flush restarts from zero.
 ///
-/// Every record carries a `"who"` identity field (a worker id in
-/// steal-mode sweeps, `pid-<n>` otherwise — see
-/// [`with_identity`](Self::with_identity)), and the first line of the
-/// stream is a `meta` record anchoring the process-relative `t_us`
-/// clock to wall time:
+/// Every record carries a `"who"` field naming the producing process
+/// (`pid-<n>`), and the first line of the stream is a `meta` record
+/// anchoring the process-relative `t_us` clock to wall time:
 ///
 /// ```text
-/// {"kind":"meta","t_us":3,"unix_us":1754650000000000,"who":"w-1a2b-3c4d"}
+/// {"kind":"meta","t_us":3,"unix_us":1754650000000000,"who":"pid-811"}
 /// ```
 ///
-/// so cross-process tools (`sweep_trace`) can place records from
-/// several captures on one absolute timeline without filename
-/// heuristics.
+/// so captures from several processes can be placed on one absolute
+/// timeline (see [`chrome_trace`](crate::chrome_trace), which gives
+/// each `"who"` its own track).
 pub struct JsonlSubscriber {
     out: Mutex<Box<dyn Write + Send>>,
     aggregates: Mutex<MetricsRegistry>,
@@ -93,19 +91,6 @@ impl JsonlSubscriber {
     pub fn create(path: &Path) -> io::Result<Self> {
         let file = File::create(path)?;
         Ok(Self::new(Box::new(BufWriter::new(file))))
-    }
-
-    /// Replaces the identity stamped on every record. Call before
-    /// installing (the meta line is emitted lazily with the first
-    /// record, so an identity set here is the one anchored).
-    pub fn with_identity(mut self, identity: &str) -> Self {
-        identity.clone_into(&mut self.identity);
-        self
-    }
-
-    /// The identity stamped on this stream's records.
-    pub fn identity(&self) -> &str {
-        &self.identity
     }
 
     fn write_line(&self, line: &str) {
@@ -740,27 +725,6 @@ mod tests {
                 "{line}"
             );
         }
-    }
-
-    #[test]
-    fn jsonl_identity_is_stamped_and_anchored() {
-        let buf = SharedBuf::default();
-        let sub =
-            JsonlSubscriber::new(Box::new(buf.clone())).with_identity("w-dead-beef");
-        assert_eq!(sub.identity(), "w-dead-beef");
-        sub.event(&sample_event());
-        drop(sub);
-        let text = buf.contents();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "{text}");
-        let meta = parse_json(lines[0]).unwrap();
-        assert_eq!(meta.get("kind").unwrap().as_str(), Some("meta"));
-        assert_eq!(meta.get("who").unwrap().as_str(), Some("w-dead-beef"));
-        // The anchor pair samples both clocks at one instant.
-        assert!(meta.get("t_us").unwrap().as_u64().is_some());
-        assert!(meta.get("unix_us").unwrap().as_u64().unwrap() > 1_000_000_000_000_000);
-        let event = parse_json(lines[1]).unwrap();
-        assert_eq!(event.get("who").unwrap().as_str(), Some("w-dead-beef"));
     }
 
     #[test]

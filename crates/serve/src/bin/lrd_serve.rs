@@ -138,7 +138,6 @@ fn parse_args() -> Result<Args, String> {
         (common.quick, "--quick"),
         (common.shard.is_some(), "--shard"),
         (common.checkpoint.is_some(), "--checkpoint"),
-        (common.steal.is_some(), "--steal"),
     ] {
         if set {
             return Err(format!("{flag} is a sweep flag; lrd-serve does not accept it"));

@@ -11,8 +11,8 @@
 //! * [`engine`] fits the paper's cutoff-correlated queueing model from
 //!   each window and answers `LossBound` / `Provision` queries with
 //!   **bounded staleness** from incrementally-refined solve sessions;
-//! * [`proto`] is the JSON-line wire protocol (the sweep
-//!   coordinator's framing, reused);
+//! * [`proto`] is the JSON-line wire protocol (over `lrd-net`'s
+//!   framing);
 //! * [`server`] is the single-threaded poll loop multiplexing ticks,
 //!   queries and idle refinement;
 //! * [`signal`] routes `SIGINT`/`SIGTERM` to a graceful,

@@ -1,14 +1,13 @@
 //! The daemon's wire protocol: one JSON line per request, one per
 //! response, one request per connection.
 //!
-//! The framing follows the sweep coordinator's protocol exactly
-//! (connection-per-request over localhost TCP or a Unix socket, each
-//! side writing one newline-terminated JSON object built with the
-//! in-tree JSON layer) so the two daemons share the `lrd-net`
-//! transport and the same failure model: a connection dying at any
-//! byte loses nothing, because the daemon's authoritative state — the
-//! per-flow windows and the solve-session cache — never leaves the
-//! process. Clients simply retry.
+//! The framing is `lrd-net`'s (connection-per-request over localhost
+//! TCP or a Unix socket, each side writing one newline-terminated JSON
+//! object built with the in-tree JSON layer), and so is the failure
+//! model: a connection dying at any byte loses nothing, because the
+//! daemon's authoritative state — the per-flow windows and the
+//! solve-session cache — never leaves the process. Clients simply
+//! retry.
 
 use lrd_obs::{parse_json, write_json_f64, write_json_string, Json};
 

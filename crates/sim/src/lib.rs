@@ -4,13 +4,13 @@
 //! within one constant-rate interval is *exactly* integrable — there is
 //! no time-discretization error anywhere in this crate. The simulator
 //! is the model-free counterpart of the numerical solver in
-//! [`lrd_fluidq`]:
+//! `lrd-fluidq`:
 //!
 //! * [`FluidQueue`] — the single-server queue with service rate `c`
 //!   and buffer `B`, advanced one `(rate, duration)` segment at a time,
 //!   tracking arrived/lost work, boundary resets, and occupancy
 //!   statistics;
-//! * [`simulate_trace`] — drives a queue from a binned [`Trace`]
+//! * [`simulate_trace`] — drives a queue from a binned [`Trace`](lrd_traffic::Trace)
 //!   (the paper's shuffling experiments, Figs. 7/8/14);
 //! * [`simulate_source`] — drives a queue from sampled paths of the
 //!   modulated fluid source, recording the queue occupancy **at

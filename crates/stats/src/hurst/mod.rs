@@ -37,14 +37,17 @@ pub(crate) mod wavelet;
 pub(crate) use rs::{fit_scales as rs_fit_scales, RsScale};
 pub(crate) use vt::{fit_levels as vt_fit_levels, VtLevel};
 
-pub use periodogram::gph_estimate;
+pub use periodogram::{gph_estimate, try_gph_estimate};
 pub use rs::{rs_estimate, try_rs_estimate, try_rs_estimate_with_sizes};
 pub use vt::{
     aggregate, try_variance_time_estimate, try_variance_time_estimate_with_sizes,
     variance_time_estimate,
 };
 pub use wavelet::{haar_energies, try_wavelet_estimate, wavelet_estimate};
-pub use whittle::{whittle_estimate, whittle_estimate_with_bandwidth};
+pub use whittle::{
+    try_whittle_estimate, try_whittle_estimate_with_bandwidth, whittle_estimate,
+    whittle_estimate_with_bandwidth,
+};
 
 use crate::error::EstimatorError;
 use crate::regression::LinearFit;

@@ -7,9 +7,11 @@
 //! frequency-domain estimator closest to the Whittle estimator the
 //! paper cites for its trace analysis.
 
-use super::HurstEstimate;
-use crate::regression::linear_fit;
+use super::{fit_points, is_constant, require_samples, HurstEstimate};
+use crate::error::EstimatorError;
 use lrd_fft::{Complex, Fft, next_pow2};
+
+const ESTIMATOR: &str = "GPH estimator";
 
 /// Periodogram `I(ω_j) = |Σ_t x_t e^{-iω_j t}|² / (2π n)` at the Fourier
 /// frequencies `ω_j = 2π j / N`, `j = 1 .. N/2`, where `N` is `x.len()`
@@ -32,14 +34,34 @@ pub fn periodogram(x: &[f64]) -> Vec<f64> {
 ///
 /// # Panics
 ///
-/// Panics if the series is shorter than 128 samples or the bandwidth
-/// exponent is outside `(0, 1)`.
+/// Panics on any [`EstimatorError`] (see
+/// [`try_gph_estimate_with_bandwidth`]) and if the bandwidth exponent
+/// is outside `(0, 1)`.
 pub fn gph_estimate_with_bandwidth(x: &[f64], bandwidth_exp: f64) -> HurstEstimate {
-    assert!(x.len() >= 128, "GPH needs at least 128 samples");
+    try_gph_estimate_with_bandwidth(x, bandwidth_exp).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`gph_estimate_with_bandwidth`]: a series shorter than 128
+/// samples is [`EstimatorError::TooFewSamples`], a constant one
+/// [`EstimatorError::ZeroVariance`], and fewer than two positive
+/// periodogram ordinates [`EstimatorError::TooFewPoints`].
+///
+/// # Panics
+///
+/// Panics if the bandwidth exponent is outside `(0, 1)` — a caller
+/// bug, not a property of the data.
+pub fn try_gph_estimate_with_bandwidth(
+    x: &[f64],
+    bandwidth_exp: f64,
+) -> Result<HurstEstimate, EstimatorError> {
     assert!(
         bandwidth_exp > 0.0 && bandwidth_exp < 1.0,
         "bandwidth exponent must be in (0, 1)"
     );
+    require_samples(ESTIMATOR, 128, x.len())?;
+    if is_constant(x) {
+        return Err(EstimatorError::ZeroVariance { estimator: ESTIMATOR });
+    }
     let pgram = periodogram(x);
     let size = next_pow2(x.len());
     let m = ((x.len() as f64).powf(bandwidth_exp) as usize)
@@ -53,20 +75,23 @@ pub fn gph_estimate_with_bandwidth(x: &[f64], bandwidth_exp: f64) -> HurstEstima
             points.push((reg, i_j.ln()));
         }
     }
-    let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
-    let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
-    let fit = linear_fit(&xs, &ys);
     // slope = -d, H = d + 1/2.
-    HurstEstimate {
-        h: 0.5 - fit.slope,
-        fit,
-        points,
-    }
+    fit_points(ESTIMATOR, points, |slope| 0.5 - slope)
 }
 
 /// GPH estimate with the classical `m = ⌊√n⌋` bandwidth.
+///
+/// # Panics
+///
+/// Panics on any [`EstimatorError`]; see [`try_gph_estimate`] for the
+/// fallible form.
 pub fn gph_estimate(x: &[f64]) -> HurstEstimate {
     gph_estimate_with_bandwidth(x, 0.5)
+}
+
+/// Fallible [`gph_estimate`].
+pub fn try_gph_estimate(x: &[f64]) -> Result<HurstEstimate, EstimatorError> {
+    try_gph_estimate_with_bandwidth(x, 0.5)
 }
 
 #[cfg(test)]
@@ -117,6 +142,18 @@ mod tests {
     #[should_panic(expected = "128 samples")]
     fn short_series_rejected() {
         gph_estimate(&[0.0; 16]);
+    }
+
+    #[test]
+    fn short_and_constant_series_are_typed_errors() {
+        assert!(matches!(
+            try_gph_estimate(&[0.5; 100]),
+            Err(EstimatorError::TooFewSamples { needed: 128, got: 100, .. })
+        ));
+        assert!(matches!(
+            try_gph_estimate(&[0.1; 4096]),
+            Err(EstimatorError::ZeroVariance { .. })
+        ));
     }
 
     #[test]

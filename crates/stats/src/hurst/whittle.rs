@@ -15,14 +15,27 @@
 //! everywhere in this crate, `H = d + 1/2`.
 
 use super::periodogram::periodogram;
-use super::HurstEstimate;
+use super::{is_constant, require_samples, HurstEstimate};
+use crate::error::EstimatorError;
 use crate::regression::LinearFit;
 use lrd_fft::next_pow2;
 
+const ESTIMATOR: &str = "local Whittle";
+
 /// Local Whittle estimate with bandwidth `m = ⌊n^0.65⌋` (a standard
 /// compromise between bias and variance).
+///
+/// # Panics
+///
+/// Panics on any [`EstimatorError`]; see [`try_whittle_estimate`] for
+/// the fallible form.
 pub fn whittle_estimate(x: &[f64]) -> HurstEstimate {
     whittle_estimate_with_bandwidth(x, 0.65)
+}
+
+/// Fallible [`whittle_estimate`].
+pub fn try_whittle_estimate(x: &[f64]) -> Result<HurstEstimate, EstimatorError> {
+    try_whittle_estimate_with_bandwidth(x, 0.65)
 }
 
 /// Local Whittle estimate using the lowest `⌊n^bandwidth_exp⌋` Fourier
@@ -30,14 +43,34 @@ pub fn whittle_estimate(x: &[f64]) -> HurstEstimate {
 ///
 /// # Panics
 ///
-/// Panics if the series is shorter than 128 samples or the bandwidth
+/// Panics on any [`EstimatorError`] (see
+/// [`try_whittle_estimate_with_bandwidth`]) and if the bandwidth
 /// exponent is outside `(0, 1)`.
 pub fn whittle_estimate_with_bandwidth(x: &[f64], bandwidth_exp: f64) -> HurstEstimate {
-    assert!(x.len() >= 128, "local Whittle needs at least 128 samples");
+    try_whittle_estimate_with_bandwidth(x, bandwidth_exp).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`whittle_estimate_with_bandwidth`]: a series shorter than
+/// 128 samples is [`EstimatorError::TooFewSamples`] and a constant one
+/// [`EstimatorError::ZeroVariance`] (its periodogram is identically
+/// zero, so the objective has no minimum to find).
+///
+/// # Panics
+///
+/// Panics if the bandwidth exponent is outside `(0, 1)` — a caller
+/// bug, not a property of the data.
+pub fn try_whittle_estimate_with_bandwidth(
+    x: &[f64],
+    bandwidth_exp: f64,
+) -> Result<HurstEstimate, EstimatorError> {
     assert!(
         bandwidth_exp > 0.0 && bandwidth_exp < 1.0,
         "bandwidth exponent must be in (0, 1)"
     );
+    require_samples(ESTIMATOR, 128, x.len())?;
+    if is_constant(x) {
+        return Err(EstimatorError::ZeroVariance { estimator: ESTIMATOR });
+    }
     let pgram = periodogram(x);
     let size = next_pow2(x.len());
     let m = ((x.len() as f64).powf(bandwidth_exp) as usize).clamp(8, pgram.len());
@@ -100,11 +133,11 @@ pub fn whittle_estimate_with_bandwidth(x: &[f64], bandwidth_exp: f64) -> HurstEs
         intercept: objective(d),
         r_squared: f64::NAN,
     };
-    HurstEstimate {
+    Ok(HurstEstimate {
         h: d + 0.5,
         fit,
         points,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -139,6 +172,18 @@ mod tests {
     #[should_panic(expected = "128 samples")]
     fn short_series_rejected() {
         whittle_estimate(&[0.0; 32]);
+    }
+
+    #[test]
+    fn short_and_constant_series_are_typed_errors() {
+        assert!(matches!(
+            try_whittle_estimate(&[0.5; 100]),
+            Err(EstimatorError::TooFewSamples { needed: 128, got: 100, .. })
+        ));
+        assert!(matches!(
+            try_whittle_estimate(&[0.1; 4096]),
+            Err(EstimatorError::ZeroVariance { .. })
+        ));
     }
 
     #[test]

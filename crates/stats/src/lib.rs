@@ -36,10 +36,11 @@ pub use descriptive::{autocorrelation, autocovariance, mean, std_dev, variance, 
 pub use error::{EstimatorError, HistogramError};
 pub use histogram::Histogram;
 pub use hurst::{
-    dyadic_sizes, gph_estimate, gph_std_error, haar_energies, rs_estimate, try_rs_estimate,
-    try_rs_estimate_with_sizes, try_variance_time_estimate, try_variance_time_estimate_with_sizes,
-    try_wavelet_estimate, variance_time_estimate, wavelet_estimate, whittle_estimate,
-    whittle_std_error, HurstEstimate,
+    dyadic_sizes, gph_estimate, gph_std_error, haar_energies, rs_estimate, try_gph_estimate,
+    try_rs_estimate, try_rs_estimate_with_sizes, try_variance_time_estimate,
+    try_variance_time_estimate_with_sizes, try_wavelet_estimate, try_whittle_estimate,
+    variance_time_estimate, wavelet_estimate, whittle_estimate, whittle_std_error,
+    HurstEstimate,
 };
 pub use onepass::{OnePassHurst, OnePassRs, OnePassVt, OnePassWavelet};
 pub use regression::{linear_fit, LinearFit};

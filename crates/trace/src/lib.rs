@@ -7,7 +7,7 @@
 //! parameter, mean epoch duration), holding only O(chunk + estimator)
 //! state however large the file:
 //!
-//! * [`format`] — the `LRDPKT01` binary record format with a
+//! * [`format`](mod@format) — the `LRDPKT01` binary record format with a
 //!   back-patched record count, a buffered [`TraceWriter`], and a
 //!   chunk-buffered validating [`TraceReader`];
 //! * [`binner`] — online packet → fixed-`dt` rate reduction with

@@ -6,8 +6,8 @@
 //! another possible choice since they can capture correlations up to a
 //! given value CH", noting that "a power law decay can be approximated
 //! arbitrarily closely by enough exponential decay functions" (its
-//! ref. [24]) and that multi-state models with one state per time
-//! scale tame the parameter explosion (ref. [30], Robert &
+//! ref. \[24\]) and that multi-state models with one state per time
+//! scale tame the parameter explosion (ref. \[30\], Robert &
 //! Le Boudec).
 //!
 //! [`HyperExponential`] is exactly that model: a probabilistic mixture
@@ -159,7 +159,7 @@ impl Interarrival for HyperExponential {
 ///
 /// `states` exponential branches are placed on a geometric ladder of
 /// time scales spanning `[θ/2, horizon]` — the "one state per time
-/// scale" construction of the paper's ref. [30]. Weights are obtained
+/// scale" construction of the paper's ref. \[30\]. Weights are obtained
 /// by minimizing the squared ccdf error on a logarithmic grid under
 /// non-negativity (projected gradient iterations), then the mixture is
 /// rescaled so its mean matches the Pareto's exactly.

@@ -2,7 +2,7 @@
 //! durations.
 //!
 //! The third classical LRD traffic generator referenced by the paper
-//! (Parulekar & Makowski, its ref. [28]): sessions arrive as a Poisson
+//! (Parulekar & Makowski, its ref. \[28\]): sessions arrive as a Poisson
 //! process of rate `ν`, each transmits at a unit rate for a
 //! Pareto-distributed holding time, and the instantaneous traffic rate
 //! is the number of busy servers of an M/G/∞ queue. With holding-time

@@ -1,7 +1,7 @@
 //! Heavy-tailed on/off sources and their superposition.
 //!
 //! The paper's physical explanation for LRD in network traffic (via
-//! Willinger et al., its refs. [36], [7]) is that "the superposition of
+//! Willinger et al., its refs. \[36\], \[7\]) is that "the superposition of
 //! many on/off sources with heavy-tailed on- and off-periods results in
 //! aggregate traffic with LRD". This module provides that generative
 //! model: individual sources alternate between emitting at a peak rate

@@ -9,7 +9,7 @@
 //! cutoff `T_c` (Figs. 7, 8, 14).
 //!
 //! **Internal shuffling** (Erramilli, Narayan & Willinger, the paper's
-//! ref. [12]) is the dual operation: it permutes the samples *within*
+//! ref. \[12\]) is the dual operation: it permutes the samples *within*
 //! each block, destroying correlation at lags shorter than a block
 //! while preserving the long-lag structure. It is included as an
 //! extension for ablation experiments.

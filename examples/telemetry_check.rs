@@ -15,22 +15,9 @@
 //! registry's typed [`lrd_experiments::run::BudgetError`], which names
 //! the offending figure.
 //!
-//! With `--coord` the capture is a **coordinator** telemetry file (from
-//! `sweep_coord --telemetry`) instead of a solver one: the check then
-//! verifies the lease ledger — every completed batch was granted, the
-//! reclaim counter agrees with the reclaim events, and (with
-//! `--figure`) the points of the completed batches sum to exactly the
-//! figure's solve budget. Only valid for a capture from a single
-//! coordinator process that was not killed mid-sweep.
-//!
-//! With `--fleet --lease-log <coord_lease.jsonl>` the positional paths
-//! are **worker** captures and the check reconciles fleet telemetry
-//! with the coordinator's durable ledger: every batch in the lease log
-//! must be done, the per-worker `sweep.points` counters in the
-//! captures must cover (and, when nothing was ever reclaimed, exactly
-//! equal) the points of the batches the ledger credits to that worker,
-//! and with `--trace <trace.json>` the exported Chrome timeline must
-//! parse and contain a lease slice for every granted lease epoch.
+//! Every capture is also rendered as a Chrome trace
+//! ([`lrd::obs::chrome_trace`]) and parsed back: the timeline must be
+//! valid JSON holding exactly one complete slice per `span` record.
 //!
 //! Used by `scripts/ci.sh` as the telemetry smoke check:
 //!
@@ -42,373 +29,62 @@
 //! Exits non-zero (with one line per violated requirement) when the
 //! capture is malformed or incomplete.
 
-use lrd::obs::{parse_json, Json};
+use lrd::obs::{chrome_trace, parse_json, Json};
 use lrd_experiments::figures::Profile;
 use std::process::ExitCode;
 
 struct Args {
-    /// The capture (legacy/--coord modes) or worker captures (--fleet).
-    paths: Vec<String>,
+    path: String,
     figure: Option<String>,
     profile: Profile,
-    coord: bool,
-    fleet: bool,
-    lease_log: Option<String>,
-    trace: Option<String>,
 }
 
 fn parse_args() -> Option<Args> {
-    let mut paths = Vec::new();
+    let mut path = None;
     let mut figure = None;
     let mut profile = Profile::Quick;
-    let mut coord = false;
-    let mut fleet = false;
-    let mut lease_log = None;
-    let mut trace = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--figure" => figure = Some(args.next()?),
             "--profile" => profile = Profile::from_tag(&args.next()?)?,
-            "--coord" => coord = true,
-            "--fleet" => fleet = true,
-            "--lease-log" => lease_log = Some(args.next()?),
-            "--trace" => trace = Some(args.next()?),
-            other if other.starts_with('-') => return None,
-            other => paths.push(other.to_string()),
+            other if other.starts_with('-') || path.is_some() => return None,
+            other => path = Some(other.to_string()),
         }
     }
-    // Legacy and --coord modes take exactly one capture; --fleet takes
-    // one or more worker captures plus the ledger.
-    if paths.is_empty() || (!fleet && paths.len() != 1) || (fleet && lease_log.is_none()) {
-        return None;
-    }
     Some(Args {
-        paths,
+        path: path?,
         figure,
         profile,
-        coord,
-        fleet,
-        lease_log,
-        trace,
     })
 }
 
-/// Parses a JSONL file, failing loudly on any unparseable line except
-/// a torn final one (a killed process's last write).
-fn read_jsonl(path: &str) -> Result<Vec<Json>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut records = Vec::new();
-    let lines: Vec<&str> = text.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        match parse_json(line) {
-            Ok(json) => records.push(json),
-            Err(e) if i + 1 == lines.len() => {
-                eprintln!("telemetry_check: note: {path} has a torn final line ({e})");
-            }
-            Err(e) => return Err(format!("{path} line {} is not valid JSON: {e}", i + 1)),
-        }
-    }
-    Ok(records)
-}
-
-/// The `--fleet` requirements: worker captures, the coordinator's
-/// lease ledger, and (optionally) the exported trace must agree.
-fn check_fleet(args: &Args) -> ExitCode {
-    match try_check_fleet(args) {
-        Ok(summary) => {
-            println!("telemetry_check: {summary}");
-            ExitCode::SUCCESS
-        }
-        Err(failures) => {
-            for failure in failures {
-                eprintln!("telemetry_check: {failure}");
-            }
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn try_check_fleet(args: &Args) -> Result<String, Vec<String>> {
-    use std::collections::BTreeMap;
-
-    let fail = |msg: String| -> Vec<String> { vec![msg] };
-    let lease_log = args.lease_log.as_deref().expect("checked in parse_args");
-    let ledger = read_jsonl(lease_log).map_err(fail)?;
-    if ledger.first().and_then(|j| j.get("kind")).and_then(Json::as_str)
-        != Some("coord_manifest")
-    {
-        return Err(fail(format!(
-            "{lease_log}: first line is not a coord_manifest"
-        )));
-    }
-    let batch_sizes: Vec<u64> = ledger[0]
-        .get("batches")
+/// Renders the capture as a Chrome trace, parses it back and counts its
+/// complete slices: one per `span` record, or an error naming the gap.
+fn check_trace(records: &[Json], spans: usize) -> Result<usize, String> {
+    let trace = parse_json(&chrome_trace(records))
+        .map_err(|e| format!("the rendered Chrome trace is not valid JSON: {e}"))?;
+    let slices = trace
+        .get("traceEvents")
         .and_then(Json::as_array)
-        .map(|bs| bs.iter().map(|b| b.as_array().map_or(0, |p| p.len() as u64)).collect())
-        .unwrap_or_default();
-    let total_points: u64 = batch_sizes.iter().sum();
-
-    // Replay the ledger: granted epochs, reclaim count, and which
-    // worker each batch's final completion is credited to.
-    let mut granted: Vec<(u64, u64)> = Vec::new();
-    let mut reclaims = 0u64;
-    let mut done_by: BTreeMap<u64, String> = BTreeMap::new();
-    for event in &ledger[1..] {
-        let kind = event.get("kind").and_then(Json::as_str).unwrap_or_default();
-        let batch = event.get("batch").and_then(Json::as_u64).unwrap_or(0);
-        let epoch = event.get("epoch").and_then(Json::as_u64).unwrap_or(0);
-        let worker = event.get("worker").and_then(Json::as_str).unwrap_or("?");
-        match kind {
-            "grant" => granted.push((batch, epoch)),
-            "reclaim" => reclaims += 1,
-            "done" => {
-                done_by.insert(batch, worker.to_string());
-            }
-            _ => {}
-        }
-    }
-
-    let mut failures = Vec::new();
-    if done_by.len() != batch_sizes.len() {
-        failures.push(format!(
-            "ledger {lease_log}: {} of {} batch(es) done — the sweep did not drain",
-            done_by.len(),
-            batch_sizes.len(),
+        .ok_or("the rendered Chrome trace has no traceEvents array")?
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        .count();
+    if slices != spans {
+        return Err(format!(
+            "the rendered Chrome trace has {slices} complete slice(s) for {spans} span record(s)"
         ));
     }
-
-    // Fold each worker capture: identity from the meta line, counter
-    // totals summed across flushes (each flush drains deltas).
-    let mut capture_points: BTreeMap<String, u64> = BTreeMap::new();
-    let mut capture_reused: BTreeMap<String, u64> = BTreeMap::new();
-    for path in &args.paths {
-        let records = read_jsonl(path).map_err(fail)?;
-        let who = records
-            .iter()
-            .find(|j| j.get("kind").and_then(Json::as_str) == Some("meta"))
-            .and_then(|j| j.get("who").and_then(Json::as_str))
-            .map(str::to_string)
-            .ok_or_else(|| fail(format!("{path}: no meta line with a worker identity")))?;
-        let counter_total = |name: &str| -> u64 {
-            records
-                .iter()
-                .filter(|j| {
-                    j.get("kind").and_then(Json::as_str) == Some("counter")
-                        && j.get("name").and_then(Json::as_str) == Some(name)
-                })
-                .filter_map(|j| j.get("value").and_then(Json::as_u64))
-                .sum()
-        };
-        *capture_points.entry(who.clone()).or_insert(0) += counter_total("sweep.points");
-        *capture_reused.entry(who).or_insert(0) += counter_total("sweep.points_reused");
-    }
-
-    // Reconcile: each worker's captured solve count must cover the
-    // points the ledger credits to it; with no reclaims (and no reuse)
-    // nothing can legitimately diverge, so demand exact equality.
-    let mut credited_total = 0u64;
-    let mut per_worker: BTreeMap<&str, u64> = BTreeMap::new();
-    for (batch, worker) in &done_by {
-        let points = batch_sizes.get(*batch as usize).copied().unwrap_or(0);
-        credited_total += points;
-        *per_worker.entry(worker).or_insert(0) += points;
-    }
-    for (worker, &credited) in &per_worker {
-        let Some(&captured) = capture_points.get(*worker) else {
-            failures.push(format!(
-                "ledger credits {credited} point(s) to {worker} but no capture for it was given"
-            ));
-            continue;
-        };
-        let reused = capture_reused.get(*worker).copied().unwrap_or(0);
-        if captured + reused < credited {
-            failures.push(format!(
-                "{worker}: capture records {captured} solved (+{reused} reused) point(s) but \
-                 the ledger credits it with {credited}"
-            ));
-        } else if reclaims == 0 && reused == 0 && captured != credited {
-            failures.push(format!(
-                "{worker}: capture records {captured} solved point(s), ledger credits \
-                 {credited} — must match exactly when nothing was reclaimed or reused"
-            ));
-        }
-    }
-    if let Some(name) = &args.figure {
-        match lrd_experiments::find_figure(name) {
-            None => failures.push(format!("unknown figure `{name}`")),
-            Some(spec) => {
-                let expected = spec.expected_solves(args.profile);
-                if credited_total != expected {
-                    failures.push(format!(
-                        "{name} ({}) fleet budget violated: done batches cover \
-                         {credited_total} point(s), expected exactly {expected}",
-                        args.profile.tag(),
-                    ));
-                }
-            }
-        }
-    } else if credited_total != total_points {
-        failures.push(format!(
-            "done batches cover {credited_total} point(s) of {total_points} in the manifest"
-        ));
-    }
-
-    // Trace coverage: the exported timeline must hold one lease slice
-    // per granted lease epoch.
-    if let Some(trace_path) = &args.trace {
-        let text = std::fs::read_to_string(trace_path)
-            .map_err(|e| fail(format!("cannot read {trace_path}: {e}")))?;
-        let doc = parse_json(&text)
-            .map_err(|e| fail(format!("{trace_path} is not valid JSON: {e}")))?;
-        let empty = [];
-        let trace_events = doc
-            .get("traceEvents")
-            .and_then(Json::as_array)
-            .unwrap_or(&empty);
-        let covered: std::collections::BTreeSet<String> = trace_events
-            .iter()
-            .filter(|e| {
-                e.get("name")
-                    .and_then(Json::as_str)
-                    .is_some_and(|n| n.starts_with("lease "))
-            })
-            .filter_map(|e| {
-                e.get("args")?
-                    .get("trace")?
-                    .as_str()
-                    .map(str::to_string)
-            })
-            .collect();
-        for (batch, epoch) in &granted {
-            let id = format!("t{batch}.{epoch}");
-            if !covered.contains(&id) {
-                failures.push(format!(
-                    "{trace_path}: granted lease {id} has no lease slice in the trace"
-                ));
-            }
-        }
-    }
-
-    if !failures.is_empty() {
-        return Err(failures);
-    }
-    Ok(format!(
-        "fleet ok — {} worker(s) reconcile with the ledger ({} batch(es), \
-         {credited_total} point(s), {} grant(s), {reclaims} reclaim(s)){}",
-        capture_points.len(),
-        done_by.len(),
-        granted.len(),
-        match &args.trace {
-            Some(t) => format!("; trace {t} covers every grant"),
-            None => String::new(),
-        },
-    ))
-}
-
-/// The `--coord` requirements: the lease ledger of a coordinator that
-/// served a sweep to completion must balance.
-fn check_coord(args: &Args, records: &[Json]) -> ExitCode {
-    let events = |name: &str| -> Vec<&Json> {
-        records
-            .iter()
-            .filter(|j| {
-                j.get("kind").and_then(Json::as_str) == Some("event")
-                    && j.get("name").and_then(Json::as_str) == Some(name)
-            })
-            .collect()
-    };
-    let granted = events("coord.lease_granted").len();
-    let done = events("coord.batch_done");
-    let reclaim_events = events("coord.lease_reclaimed").len() as u64;
-    // The counter record is only flushed when at least one reclaim
-    // happened; absent means zero.
-    let reclaim_counter = records
-        .iter()
-        .find(|j| {
-            j.get("kind").and_then(Json::as_str) == Some("counter")
-                && j.get("name").and_then(Json::as_str) == Some("coord.reclaims")
-        })
-        .and_then(|j| j.get("value").and_then(Json::as_u64))
-        .unwrap_or(0);
-
-    let mut ok = true;
-    if done.is_empty() {
-        eprintln!("telemetry_check: no coord.batch_done events (did the sweep run?)");
-        ok = false;
-    }
-    if granted < done.len() {
-        eprintln!(
-            "telemetry_check: {} batch(es) completed but only {granted} lease(s) granted",
-            done.len()
-        );
-        ok = false;
-    }
-    if reclaim_counter != reclaim_events {
-        eprintln!(
-            "telemetry_check: coord.reclaims counter ({reclaim_counter}) disagrees with \
-             {reclaim_events} coord.lease_reclaimed event(s)"
-        );
-        ok = false;
-    }
-    // Every completed batch reports its point count; for an unkilled
-    // coordinator the total must be exactly the figure's solve budget
-    // — points can be re-solved by reclaimed leases, but each batch
-    // completes exactly once.
-    let points: u64 = done
-        .iter()
-        .filter_map(|j| {
-            j.get("fields")
-                .and_then(|f| f.get("points"))
-                .and_then(Json::as_u64)
-        })
-        .sum();
-    if let Some(name) = &args.figure {
-        match lrd_experiments::find_figure(name) {
-            None => {
-                eprintln!("telemetry_check: unknown figure `{name}`");
-                ok = false;
-            }
-            Some(spec) => {
-                let expected = spec.expected_solves(args.profile);
-                if points != expected {
-                    eprintln!(
-                        "telemetry_check: {name} ({}) coordinator budget violated: completed \
-                         batches cover {points} point(s), expected exactly {expected}",
-                        args.profile.tag(),
-                    );
-                    ok = false;
-                }
-            }
-        }
-    }
-    if !ok {
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "telemetry_check: coordinator ledger ok ({granted} grant(s), {} batch(es) done \
-         covering {points} point(s), {reclaim_events} reclaim(s))",
-        done.len(),
-    );
-    ExitCode::SUCCESS
+    Ok(slices)
 }
 
 fn main() -> ExitCode {
     let Some(args) = parse_args() else {
-        eprintln!(
-            "usage: telemetry_check <capture.jsonl> [--figure <name>] [--profile quick|full] \
-             [--coord]\n\
-             \u{20}      telemetry_check --fleet --lease-log <coord_lease.jsonl> \
-             [--trace <trace.json>]\n\
-             \u{20}          [--figure <name>] [--profile quick|full] <worker.jsonl>..."
-        );
+        eprintln!("usage: telemetry_check <capture.jsonl> [--figure <name>] [--profile quick|full]");
         return ExitCode::FAILURE;
     };
-    if args.fleet {
-        return check_fleet(&args);
-    }
-    let path = &args.paths[0];
+    let path = &args.path;
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
@@ -437,10 +113,6 @@ fn main() -> ExitCode {
             })
             .count()
     };
-
-    if args.coord {
-        return check_coord(&args, &records);
-    }
 
     // Without --figure the capture must cover at least one full solve;
     // with --figure, the registry decides whether solves are expected
@@ -504,12 +176,21 @@ fn main() -> ExitCode {
             ok = false;
         }
     }
+    let spans = records
+        .iter()
+        .filter(|j| j.get("kind").and_then(Json::as_str) == Some("span"))
+        .count();
+    let slices = check_trace(&records, spans).unwrap_or_else(|e| {
+        eprintln!("telemetry_check: {e}");
+        ok = false;
+        0
+    });
     if !ok {
         return ExitCode::FAILURE;
     }
     println!(
         "telemetry_check: {} lines ok ({} solve span(s), {} gap event(s), \
-         {} refine event(s)){}",
+         {} refine event(s); Chrome trace has {slices} slice(s)){}",
         records.len(),
         count("span", "solver.solve"),
         count("event", "solver.gap"),

@@ -19,8 +19,8 @@ cargo test -q --release --workspace --locked
 echo "=== clippy (-D warnings) ==="
 cargo clippy --workspace --all-targets --locked -- -D warnings
 
-echo "=== rustdoc (-D warnings, lrd-stats) ==="
-RUSTDOCFLAGS="-D warnings" cargo doc -p lrd-stats --no-deps --locked
+echo "=== rustdoc (-D warnings, workspace) ==="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 
 echo "=== benchmark tests (lrdbench, its own workspace) ==="
 # lrdbench builds against the workspace crates by path: a workspace
@@ -79,71 +79,6 @@ diff -u "$smokedir/fig04_full.csv" "$smokedir/fig04_scalar.csv"
 # scalar kernels only through direct calls; this re-runs the FFT
 # crate's suite (golden bits, cascade oracle) with scalar dispatch.
 LRD_SIMD=off cargo test -q --release --locked -p lrd-fft
-
-echo "=== chaos smoke (work-stealing sweep survives a worker SIGKILL) ==="
-# A coordinator plus two stealing workers, one SIGKILLed mid-lease and
-# respawned: the merged figure must be byte-identical to the unsharded
-# run, and the coordinator's telemetry ledger must balance exactly.
-LRD_RESULTS_DIR="$smokedir" cargo run -q --release --locked \
-    -p lrd-experiments --bin sweep_chaos -- \
-    --figure fig04_mtv_model --quick --workers 2 --kill worker:0 \
-    --tear-tail --seed 42 --heartbeat-ms 50 --lease-ttl-ms 250 \
-    --batch-points 3 --dir "$smokedir/chaos" \
-    --coord-telemetry "$smokedir/coord.jsonl" \
-    > "$smokedir/fig04_chaos.csv"
-diff -u "$smokedir/fig04_full.csv" "$smokedir/fig04_chaos.csv"
-cargo run -q --release --locked --example telemetry_check -- \
-    "$smokedir/coord.jsonl" --coord --figure fig04_mtv_model --profile quick
-
-echo "=== fleet smoke (status query, sweep_top, sweep_trace, --fleet gate) ==="
-# A live coordinator with two telemetry-capturing steal workers: poll
-# the read-only status query, merge byte-exact, join the lease ledger
-# with the per-worker telemetry into a Chrome trace, and reconcile the
-# whole fleet with telemetry_check --fleet.
-fleetdir="$smokedir/fleet"
-mkdir -p "$fleetdir"
-LRD_RESULTS_DIR="$smokedir" cargo run -q --release --locked \
-    -p lrd-experiments --bin sweep_coord -- \
-    --figure fig04_mtv_model --quick --listen 127.0.0.1:0 \
-    --lease-log "$fleetdir/coord.leases" --heartbeat-ms 50 \
-    --lease-ttl-ms 400 --batch-points 3 > "$fleetdir/coord.out" &
-coord_pid=$!
-for _ in $(seq 100); do
-    grep -q '^listening ' "$fleetdir/coord.out" 2>/dev/null && break
-    sleep 0.1
-done
-endpoint="$(awk '/^listening /{print $2}' "$fleetdir/coord.out")"
-# Deterministic status poll: the coordinator is up and cannot drain
-# before a worker appears, so --once must succeed here.
-cargo run -q --release --locked -p lrd-experiments --bin sweep_top -- \
-    --coord "$endpoint" --once
-LRD_RESULTS_DIR="$smokedir" cargo run -q --release --locked \
-    -p lrd-experiments --bin fig04_mtv_model -- --quick \
-    --steal "$endpoint" --checkpoint "$fleetdir/w0.jsonl" \
-    --telemetry "$fleetdir/w0-telemetry.jsonl" > /dev/null &
-worker0_pid=$!
-LRD_RESULTS_DIR="$smokedir" cargo run -q --release --locked \
-    -p lrd-experiments --bin fig04_mtv_model -- --quick \
-    --steal "$endpoint" --checkpoint "$fleetdir/w1.jsonl" \
-    --telemetry "$fleetdir/w1-telemetry.jsonl" > /dev/null &
-worker1_pid=$!
-# Best-effort mid-flight roster poll: the quick sweep may drain before
-# this lands, and the monitor is read-only either way.
-cargo run -q --release --locked -p lrd-experiments --bin sweep_top -- \
-    --coord "$endpoint" --once --json || true
-wait "$worker0_pid" "$worker1_pid" "$coord_pid"
-LRD_RESULTS_DIR="$smokedir" cargo run -q --release --locked \
-    -p lrd-experiments --bin sweep_merge -- \
-    "$fleetdir/w0.jsonl" "$fleetdir/w1.jsonl" \
-    > "$fleetdir/fig04_fleet.csv"
-diff -u "$smokedir/fig04_full.csv" "$fleetdir/fig04_fleet.csv"
-cargo run -q --release --locked -p lrd-experiments --bin sweep_trace -- \
-    --lease-log "$fleetdir/coord.leases" --out "$fleetdir/trace.json" \
-    "$fleetdir/w0-telemetry.jsonl" "$fleetdir/w1-telemetry.jsonl"
-cargo run -q --release --locked --example telemetry_check -- --fleet \
-    --lease-log "$fleetdir/coord.leases" --trace "$fleetdir/trace.json" \
-    --figure fig04_mtv_model --profile quick \
-    "$fleetdir/w0-telemetry.jsonl" "$fleetdir/w1-telemetry.jsonl"
 
 echo "=== service smoke (lrd-serve: status, session/batch equivalence, shutdown) ==="
 # A frozen-clock daemon (state is a pure function of the flags), two

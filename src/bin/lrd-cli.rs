@@ -291,18 +291,29 @@ fn read_trace(opts: &Flags) -> Result<Vec<f64>, String> {
 }
 
 fn cmd_hurst(opts: &Flags) -> Result<(), String> {
+    use lrd::stats::{
+        try_gph_estimate, try_rs_estimate, try_variance_time_estimate, try_wavelet_estimate,
+        try_whittle_estimate, EstimatorError, HurstEstimate,
+    };
     let rates = read_trace(opts)?;
+    let h = |estimate: Result<HurstEstimate, EstimatorError>| {
+        estimate.map(|e| e.h).map_err(|e| e.to_string())
+    };
+    // Every estimator runs before anything is printed, so a trace one
+    // of them rejects (too short, constant) yields only the error.
+    let estimates = [
+        ("R/S          ", h(try_rs_estimate(&rates))?),
+        ("variance-time", h(try_variance_time_estimate(&rates))?),
+        ("GPH          ", h(try_gph_estimate(&rates))?),
+        ("wavelet      ", h(try_wavelet_estimate(&rates))?),
+        ("Whittle      ", h(try_whittle_estimate(&rates))?),
+    ];
     println!("samples      : {}", rates.len());
     println!("mean         : {:.4}", lrd::stats::mean(&rates));
     println!("sigma        : {:.4}", lrd::stats::std_dev(&rates));
-    println!("R/S          : H = {:.3}", rs_estimate(&rates).h);
-    println!("variance-time: H = {:.3}", variance_time_estimate(&rates).h);
-    println!("GPH          : H = {:.3}", gph_estimate(&rates).h);
-    println!("wavelet      : H = {:.3}", wavelet_estimate(&rates).h);
-    println!(
-        "Whittle      : H = {:.3}",
-        lrd::stats::whittle_estimate(&rates).h
-    );
+    for (label, h) in estimates {
+        println!("{label}: H = {h:.3}");
+    }
     Ok(())
 }
 

@@ -106,4 +106,29 @@ fn errors_are_reported_not_panicked() {
     let out = cli().args(["nonsense"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+
+    // Traces the Hurst estimators reject: constant, shorter than every
+    // estimator's floor, and long enough for R/S and variance-time (64)
+    // but not for GPH, Whittle and wavelet (128).
+    let dir = std::env::temp_dir().join(format!("lrd_cli_errors_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, samples, expect) in [
+        ("constant", vec![0.1; 4096], "R/S analysis"),
+        ("short40", (0..40).map(|i| i as f64).collect::<Vec<_>>(), "at least"),
+        ("short100", (0..100).map(|i| (i % 7) as f64).collect(), "at least 128 samples"),
+    ] {
+        let path = dir.join(format!("{name}.txt"));
+        let text: String = samples.iter().map(|v| format!("{v}\n")).collect();
+        std::fs::write(&path, text).unwrap();
+        let out = cli()
+            .args(["hurst", "--trace", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains("error:") && err.contains(expect), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+        assert!(out.stdout.is_empty(), "{name}: nothing is printed before the error");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -85,12 +85,12 @@ fn allocations_during(f: impl Fn() -> LossSolution) -> usize {
     })
 }
 
-/// Mirrors the steal-mode streaming hot loop: one counter increment
-/// and one `solve_us` histogram sample per point (the feed for the
-/// coordinator's live cost model), plus the per-batch lease event and
-/// span. Building a `MetricsSnapshot` report allocates by design, but
-/// it only happens on the heartbeat/complete wire path — the per-point
-/// instrumentation here must be free when nothing is listening.
+/// A representative streaming instrumentation loop: a span around a
+/// batch of points, one counter increment and one histogram sample per
+/// point (the sweep runner records `sweep.solve_us` this way for each
+/// checkpointed solve), and a closing event. It drives every telemetry
+/// entry point's disabled fast path, which must be free when nothing is
+/// listening.
 fn stream_probe() {
     let mut span = obs::span!("sweep.batch", batch = 3u64, epoch = 1u64, points = 64u64);
     for i in 0..64u64 {
@@ -126,7 +126,7 @@ fn disabled_telemetry_allocates_nothing_extra() {
         with_null.abs_diff(bare)
     );
 
-    // The fleet-streaming instrumentation must be exactly free when
+    // The streaming instrumentation must be exactly free when
     // disabled — zero allocations, not merely "no more than before".
     stream_probe(); // warm thread-local span-watch state
     assert_eq!(
